@@ -59,14 +59,11 @@ int main() {
   const scf::GroundState gs = engine.solve();
   const std::vector<double> n = engine.density_on_grid(gs.density);
   const hartree::MultipolePotential pot = engine.poisson().solve(n);
-  const sunway::CsiTables tables = sunway::build_csi_tables(pot);
 
   sunway::CpeCluster cluster(sunway::sw26010pro());
   std::vector<double> v(engine.grid().size());
-  sunway::real_space_potential_cpe(cluster, tables,
-                                   engine.grid().points.data(),
-                                   engine.grid().size(), v.data(),
-                                   sunway::ExecMode::Simd);
+  sunway::real_space_potential_cpe(cluster, pot, engine.grid().points.data(),
+                                   engine.grid().size(), v.data());
   const sunway::KernelWorkload w = cluster.workload(
       "V_H", static_cast<double>(engine.grid().size()), 0.5);
   std::printf("  %zu grid points on %d CPEs: %.1f Mflop, %.1f MB DMA\n",

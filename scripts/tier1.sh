@@ -37,7 +37,6 @@ mkdir -p "${CHECK_DIR}"
 SWRAMAN_CHECK=1 \
   SWRAMAN_CHECK_FILE="${CHECK_DIR}/swraman_check.json" \
   ./build/tests/test_sunway_check
-SWRAMAN_CHECK=1 ./build/tests/test_sunway >/dev/null
 python3 scripts/check_perf_json.py "${CHECK_DIR}/swraman_check.json"
 python3 - "${CHECK_DIR}/swraman_check.json" <<'EOF'
 import json, sys
@@ -53,13 +52,17 @@ print(f"checked run: {s['violations']} swcheck violation(s) "
       f"(all seeded and caught)")
 EOF
 
-echo "== tier-1: fmm suite + golden Fmm water under the checkers =="
-# The octree Hartree backend's CPE offload (M2L / P2P staging) runs with
-# the accelerator shadow checker live, both on the unit/property suite
-# and on the end-to-end golden water spectrum under HartreeBackend::Fmm.
-# Unlike test_sunway_check there are no seeded violations here: any
-# nonzero tally is a real LDM/DMA contract breach in the FMM kernels.
-for run in "test_fmm:./build/tests/test_fmm" \
+echo "== tier-1: sunway + fmm suites + golden Fmm water under the checkers =="
+# The CPE-modeled kernels run with the accelerator shadow checker live:
+# the sunway suite (kernel1 staging MultipolePotential::value through LDM,
+# kernel2, the n1/H1 batches, the pipelines), the octree Hartree backend's
+# M2L / P2P offload on its unit/property suite, and the end-to-end golden
+# water spectrum under HartreeBackend::Fmm. Unlike test_sunway_check there
+# are no seeded violations left in these tallies (seeded checks clear
+# theirs via ScopedChecking): any nonzero tally is a real LDM/DMA
+# contract breach.
+for run in "test_sunway:./build/tests/test_sunway" \
+           "test_fmm:./build/tests/test_fmm" \
            "golden-fmm-water:./build/tests/test_golden --gtest_filter=GoldenSpectrum.WaterRamanUnderFmmBackendMatchesSnapshot"; do
   name="${run%%:*}"
   cmd="${run#*:}"

@@ -23,9 +23,6 @@ void solve_tridiagonal(std::vector<double>& a, std::vector<double>& b,
   }
 }
 
-namespace {
-
-// Computes natural-spline second derivatives y2 at the knots.
 std::vector<double> natural_second_derivatives(const std::vector<double>& x,
                                                const std::vector<double>& y) {
   const std::size_t n = x.size();
@@ -49,7 +46,28 @@ std::vector<double> natural_second_derivatives(const std::vector<double>& x,
   return y2;
 }
 
+namespace {
+
+// Interval index containing x_eval in the ascending knots x, clamped to
+// [0, n-2].
+std::size_t spline_interval(const std::vector<double>& x, double x_eval) {
+  if (x_eval <= x.front()) return 0;
+  if (x_eval >= x.back()) return x.size() - 2;
+  const auto it = std::upper_bound(x.begin(), x.end(), x_eval);
+  return static_cast<std::size_t>(it - x.begin()) - 1;
+}
+
 }  // namespace
+
+SplineWeights::SplineWeights(const std::vector<double>& x, double x_eval)
+    : i(spline_interval(x, x_eval)) {
+  const double h = x[i + 1] - x[i];
+  a = (x[i + 1] - x_eval) / h;
+  b = (x_eval - x[i]) / h;
+  ca = a * a * a - a;
+  cb = b * b * b - b;
+  hh = h * h;
+}
 
 CubicSpline::CubicSpline(std::vector<double> x, std::vector<double> y)
     : x_(std::move(x)), y_(std::move(y)) {
@@ -61,25 +79,13 @@ CubicSpline::CubicSpline(std::vector<double> x, std::vector<double> y)
   y2_ = natural_second_derivatives(x_, y_);
 }
 
-std::size_t CubicSpline::interval(double x) const {
-  if (x <= x_.front()) return 0;
-  if (x >= x_.back()) return x_.size() - 2;
-  const auto it = std::upper_bound(x_.begin(), x_.end(), x);
-  return static_cast<std::size_t>(it - x_.begin()) - 1;
-}
-
 double CubicSpline::value(double x) const {
-  const std::size_t i = interval(x);
-  const double h = x_[i + 1] - x_[i];
-  const double a = (x_[i + 1] - x) / h;
-  const double b = (x - x_[i]) / h;
-  return a * y_[i] + b * y_[i + 1] +
-         ((a * a * a - a) * y2_[i] + (b * b * b - b) * y2_[i + 1]) * (h * h) /
-             6.0;
+  const SplineWeights w(x_, x);
+  return w.value(y_[w.i], y_[w.i + 1], y2_[w.i], y2_[w.i + 1]);
 }
 
 double CubicSpline::derivative(double x) const {
-  const std::size_t i = interval(x);
+  const std::size_t i = spline_interval(x_, x);
   const double h = x_[i + 1] - x_[i];
   const double a = (x_[i + 1] - x) / h;
   const double b = (x - x_[i]) / h;
@@ -89,7 +95,7 @@ double CubicSpline::derivative(double x) const {
 }
 
 double CubicSpline::second_derivative(double x) const {
-  const std::size_t i = interval(x);
+  const std::size_t i = spline_interval(x_, x);
   const double h = x_[i + 1] - x_[i];
   const double a = (x_[i + 1] - x) / h;
   const double b = (x - x_[i]) / h;
@@ -106,19 +112,6 @@ std::vector<double> CubicSpline::cumulative_at_knots() const {
                  h * h * h * (y2_[i] + y2_[i + 1]) / 24.0;
   }
   return cum;
-}
-
-void CubicSpline::interval_coefficients(std::size_t i, double c[4]) const {
-  SWRAMAN_REQUIRE(i + 1 < x_.size(), "interval_coefficients: index");
-  const double h = x_[i + 1] - x_[i];
-  const double y0 = y_[i];
-  const double y1 = y_[i + 1];
-  const double m0 = y2_[i];
-  const double m1 = y2_[i + 1];
-  c[0] = y0;
-  c[1] = (y1 - y0) / h - h / 6.0 * (2.0 * m0 + m1);
-  c[2] = m0 / 2.0;
-  c[3] = (m1 - m0) / (6.0 * h);
 }
 
 IndexSpline::IndexSpline(const std::vector<double>& y) : n_(y.size()) {

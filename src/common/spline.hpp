@@ -6,17 +6,45 @@
 // Cubic-spline interpolation. Two flavours are provided:
 //
 //  * CubicSpline: general non-uniform knots, natural boundary conditions,
-//    with value / first / second derivative evaluation.
+//    with value / first / second derivative evaluation. Its interval
+//    lookup (SplineWeights) and value expression are public so that many
+//    splines sharing one knot set — the structure-of-arrays channel rows
+//    of hartree::MultipolePotential — evaluate with a single lookup and
+//    the very same arithmetic.
 //
 //  * IndexSpline: knots at integer indices 0..n-1 (the FHI-aims convention
 //    for functions tabulated on a logarithmic radial mesh: the spline runs
 //    in index space and the mesh maps r -> fractional index). IndexSpline
 //    stores per-interval polynomial coefficients (s0, s1, s2, s3) laid out
-//    contiguously, which is exactly the memory layout consumed by the
-//    vectorized cubic-spline-interpolation (CSI) kernel of the paper
-//    (Algorithm 2 / Fig 7).
+//    contiguously.
 
 namespace swraman {
+
+// Natural-spline second derivatives at the knots (zero at both ends).
+[[nodiscard]] std::vector<double> natural_second_derivatives(
+    const std::vector<double>& x, const std::vector<double>& y);
+
+// The position-dependent part of a natural cubic spline at one point: its
+// interval (clamped to the knot range, so the end intervals extrapolate)
+// and the weights of the value expression
+//   y(x) = a y_i + b y_{i+1} + ((a^3 - a) m_i + (b^3 - b) m_{i+1}) h^2 / 6
+// (y knot values, m knot second derivatives). Every spline on the same
+// knots reuses one SplineWeights.
+struct SplineWeights {
+  std::size_t i = 0;
+  double a = 0.0;   // (x_{i+1} - x) / h
+  double b = 0.0;   // (x - x_i) / h
+  double ca = 0.0;  // a^3 - a
+  double cb = 0.0;  // b^3 - b
+  double hh = 0.0;  // h^2
+
+  SplineWeights(const std::vector<double>& x, double x_eval);
+
+  [[nodiscard]] double value(double y0, double y1, double m0,
+                             double m1) const {
+    return a * y0 + b * y1 + (ca * m0 + cb * m1) * hh / 6.0;
+  }
+};
 
 class CubicSpline {
  public:
@@ -39,18 +67,7 @@ class CubicSpline {
   // better than trapezoid on coarse nonuniform meshes).
   [[nodiscard]] std::vector<double> cumulative_at_knots() const;
 
-  // Monomial coefficients of interval i (i = 0..size()-2):
-  //   y(x) = c[0] + c[1] u + c[2] u^2 + c[3] u^3,  u = x - knot(i).
-  // This is the per-interval (s0, s1, s2, s3) layout the vectorized CSI
-  // kernel consumes (paper Algorithm 2).
-  void interval_coefficients(std::size_t i, double c[4]) const;
-
-  // Interval index containing x (clamped to the knot range).
-  [[nodiscard]] std::size_t interval_of(double x) const { return interval(x); }
-
  private:
-  [[nodiscard]] std::size_t interval(double x) const;
-
   std::vector<double> x_;
   std::vector<double> y_;
   std::vector<double> y2_;  // second derivatives at knots
@@ -74,7 +91,6 @@ class IndexSpline {
 
   // Raw coefficient storage: for interval i (i = 0..n-2) the polynomial is
   //   y(t) = c[4i] + c[4i+1]*u + c[4i+2]*u^2 + c[4i+3]*u^3,  u = t - i.
-  // This is the array the CSI CPE kernel DMA-prefetches.
   [[nodiscard]] const std::vector<double>& coefficients() const {
     return coeff_;
   }

@@ -16,14 +16,6 @@
 
 namespace swraman::fmm {
 
-// Per-atom / per-point evaluation cost in flops, matching what the kernel1
-// CPE model charges — the common currency of the Auto cost model.
-namespace {
-double point_atom_flops(std::size_t n_lm) {
-  return 12.0 * static_cast<double>(n_lm) + 30.0;
-}
-}  // namespace
-
 struct HartreeContext::Geometry {
   FmmKernel kernel;
   std::unique_ptr<Octree> sources;  // atom centers, extent = spline radius
@@ -124,9 +116,10 @@ const HartreeContext::Geometry& HartreeContext::geometry() const {
     }
   }
 
-  // Cost-model crossover estimate (flops; the Auto selector's currency).
+  // Cost-model crossover estimate (flops; the Auto selector's currency),
+  // with each (point, atom) evaluation priced as kernel1 charges it.
   const std::size_t n_lm = grid::n_lm(solver_.lmax());
-  const double c_pa = point_atom_flops(n_lm);
+  const double c_pa = sunway::point_atom_cost(n_lm).flops;
   const double n_points = static_cast<double>(grid_.points.size());
   const double n_atoms = static_cast<double>(grid_.atoms.size());
   g->direct_flops = n_points * n_atoms * c_pa;
@@ -302,7 +295,7 @@ std::vector<double> HartreeContext::fmm_on_grid(
       }
     }
 
-    const double pa_flops = point_atom_flops(n_lm);
+    const sunway::PointAtomCost pair = sunway::point_atom_cost(n_lm);
     const double lp_flops = K.l2p_flops();
     const std::vector<std::size_t>& sorder = g.sources->body_order();
     auto p2p_body = [&](sunway::CpeContext* ctx, std::size_t lo,
@@ -336,12 +329,9 @@ std::vector<double> HartreeContext::fmm_on_grid(
                  bi < sc.first_body + sc.n_bodies; ++bi) {
               v += pot.value_atom(sorder[bi], coords[k], mws);
               if (ctx) {
-                // Coefficient-block traffic + channel math per near atom,
-                // modeled as in kernel1.
-                ctx->counters().dma_bytes +=
-                    static_cast<double>(4 * n_lm * sizeof(double));
-                ctx->counters().dma_transfers += 1.0 / 16.0;
-                ctx->charge_flops(pa_flops);
+                ctx->counters().dma_bytes += pair.dma_bytes;
+                ctx->counters().dma_transfers += pair.dma_transfers;
+                ctx->charge_flops(pair.flops);
               }
             }
           }

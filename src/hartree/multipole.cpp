@@ -52,8 +52,7 @@ MultipolePotential MultipoleSolver::solve(
   MultipolePotential pot;
   pot.lmax_ = lmax_;
   pot.centers_.resize(n_atoms);
-  pot.outer_radius_.assign(n_atoms, 0.0);
-  pot.v_lm_.resize(n_atoms);
+  pot.splines_.resize(n_atoms);
   pot.moments_.assign(n_atoms, std::vector<double>(n_lm_, 0.0));
 
   for (std::size_t a = 0; a < n_atoms; ++a) {
@@ -87,8 +86,10 @@ MultipolePotential MultipoleSolver::solve(
       }
     }
 
-    pot.outer_radius_[a] = radii.back();
-    pot.v_lm_[a].resize(n_lm_);
+    MultipolePotential::AtomSplines& tab = pot.splines_[a];
+    tab.knots = radii;
+    tab.values.assign(ns * n_lm_, 0.0);
+    tab.second.assign(ns * n_lm_, 0.0);
 
     // Radial Green's-function integrals per lm channel, exact spline
     // integration over the shell radii (+ analytic inner-sphere term).
@@ -137,7 +138,11 @@ MultipolePotential MultipoleSolver::solve(
                            igt[s] * std::pow(radii[s], l));
         }
         pot.moments_[a][lm] = ilt[ns - 1];
-        pot.v_lm_[a][lm] = CubicSpline(radii, v_r);
+        const std::vector<double> v2 = natural_second_derivatives(radii, v_r);
+        for (std::size_t s = 0; s < ns; ++s) {
+          tab.values[s * n_lm_ + lm] = v_r[s];
+          tab.second[s * n_lm_ + lm] = v2[s];
+        }
       }
     }
   }
@@ -183,15 +188,24 @@ double MultipolePotential::value_atom(std::size_t atom, const Vec3& point,
 
 void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
                                          Workspace& ws, double& v) const {
-  if (v_lm_[atom].empty()) return;
+  const AtomSplines& tab = splines_[atom];
+  if (tab.knots.empty()) return;
   const std::size_t n_lm = grid::n_lm(lmax_);
   const Vec3 d = point - centers_[atom];
   const double r = std::max(d.norm(), 1e-8);
   grid::real_ylm(d, lmax_, ws.ylm, ws.ylm_scratch);
   const double* y = ws.ylm.data();
-  if (r <= outer_radius_[atom]) {
+  if (r <= tab.knots.back()) {
+    // One interval lookup ("i_r_log" of Algorithm 2) for every channel.
+    // Below the first shell the first interval extrapolates, exactly as
+    // CubicSpline::value does.
+    const SplineWeights w(tab.knots, r);
+    const double* v0 = &tab.values[w.i * n_lm];
+    const double* v1 = v0 + n_lm;
+    const double* m0 = &tab.second[w.i * n_lm];
+    const double* m1 = m0 + n_lm;
     for (std::size_t lm = 0; lm < n_lm; ++lm) {
-      v += v_lm_[atom][lm].value(r) * y[lm];
+      v += w.value(v0[lm], v1[lm], m0[lm], m1[lm]) * y[lm];
     }
   } else {
     // Analytic multipole far field.

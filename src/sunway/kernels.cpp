@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/constants.hpp"
-#include "common/error.hpp"
 #include "grid/ylm.hpp"
 #include "obs/obs.hpp"
-#include "simd/vec8d.hpp"
 
 namespace swraman::sunway {
 
@@ -48,152 +45,45 @@ void attach_kernel_span_attrs(obs::ScopedSpan& span, const CpeCluster& cluster,
             modeled_time(w, cluster.arch(), Variant::CpeTiledDbSimd));
 }
 
-std::size_t CsiTables::coeff_bytes() const {
-  std::size_t b = 0;
-  for (const CsiAtomTable& a : atoms) b += a.coeff.size() * sizeof(double);
-  return b;
+PointAtomCost point_atom_cost(std::size_t n_lm) {
+  PointAtomCost c;
+  c.flops = 12.0 * static_cast<double>(n_lm) + 30.0;
+  c.dma_bytes = static_cast<double>(4 * n_lm * sizeof(double));
+  c.dma_transfers = 1.0 / 16.0;
+  return c;
 }
 
-CsiTables build_csi_tables(const hartree::MultipolePotential& potential) {
-  CsiTables t;
-  t.lmax = potential.lmax();
-  t.n_lm = grid::n_lm(t.lmax);
-  const std::vector<Vec3>& centers = potential.centers();
-  t.atoms.resize(centers.size());
-  for (std::size_t a = 0; a < centers.size(); ++a) {
-    CsiAtomTable& at = t.atoms[a];
-    at.center = centers[a];
-    at.outer_radius = potential.outer_radius(a);
-    const std::vector<CubicSpline>& ch = potential.channels(a);
-    if (ch.empty()) continue;
-    at.knots = ch[0].knots();
-    const std::size_t n_int = at.knots.size() - 1;
-    at.coeff.assign(n_int * 4 * t.n_lm, 0.0);
-    double c[4];
-    for (std::size_t lm = 0; lm < t.n_lm; ++lm) {
-      for (std::size_t i = 0; i < n_int; ++i) {
-        ch[lm].interval_coefficients(i, c);
-        for (std::size_t k = 0; k < 4; ++k) {
-          at.coeff[(i * 4 + k) * t.n_lm + lm] = c[k];
-        }
-      }
-    }
-    at.moments.resize(t.n_lm);
-    for (std::size_t lm = 0; lm < t.n_lm; ++lm) {
-      at.moments[lm] = potential.moment(a, lm);
-    }
-  }
-  return t;
-}
-
-namespace {
-
-// Evaluates the potential contribution of one atom at one point given its
-// coefficient table. comps is scratch of size n_lm.
-double csi_point_atom(const CsiTables& t, const CsiAtomTable& at,
-                      const Vec3& p, ExecMode mode, std::vector<double>& ylm,
-                      std::vector<double>& comps) {
-  if (at.knots.empty()) return 0.0;
-  const Vec3 d = p - at.center;
-  const double r = std::max(d.norm(), 1e-8);
-  grid::real_ylm(d, t.lmax, ylm);
-
-  if (r > at.outer_radius) {
-    // Analytic multipole far field.
-    double v = 0.0;
-    double rpow = r;
-    std::size_t lm = 0;
-    for (int l = 0; l <= t.lmax; ++l) {
-      const double pref = kFourPi / (2.0 * l + 1.0) / rpow;
-      for (int m = -l; m <= l; ++m, ++lm) {
-        v += pref * at.moments[lm] * ylm[lm];
-      }
-      rpow *= r;
-    }
-    return v;
-  }
-
-  // Interval lookup ("i_r_log" of Algorithm 2), then the cubic evaluation
-  // over all channels — the vectorizable inner loop of Fig. 7.
-  const double rc = std::clamp(r, at.knots.front(), at.knots.back());
-  std::size_t i =
-      static_cast<std::size_t>(std::upper_bound(at.knots.begin(),
-                                                at.knots.end(), rc) -
-                               at.knots.begin());
-  i = std::min(std::max<std::size_t>(i, 1), at.knots.size() - 1) - 1;
-  const double u = rc - at.knots[i];
-  const double* s0 = &at.coeff[(i * 4 + 0) * t.n_lm];
-  const double* s1 = &at.coeff[(i * 4 + 1) * t.n_lm];
-  const double* s2 = &at.coeff[(i * 4 + 2) * t.n_lm];
-  const double* s3 = &at.coeff[(i * 4 + 3) * t.n_lm];
-
-  if (mode == ExecMode::Simd) {
-    simd::poly3_eval(s0, s1, s2, s3, u, comps.data(), t.n_lm);
-    return simd::dot(comps.data(), ylm.data(), t.n_lm);
-  }
-  double v = 0.0;
-  for (std::size_t lm = 0; lm < t.n_lm; ++lm) {
-    const double comp = s0[lm] + u * (s1[lm] + u * (s2[lm] + u * s3[lm]));
-    v += comp * ylm[lm];
-  }
-  return v;
-}
-
-}  // namespace
-
-void real_space_potential(const CsiTables& tables, const Vec3* points,
-                          std::size_t n, double* out, ExecMode mode) {
-  std::vector<double> ylm;
-  std::vector<double> comps(tables.n_lm);
-  for (std::size_t p = 0; p < n; ++p) {
-    double v = 0.0;
-    for (const CsiAtomTable& at : tables.atoms) {
-      v += csi_point_atom(tables, at, points[p], mode, ylm, comps);
-    }
-    out[p] = v;
-  }
-}
-
-void real_space_potential_cpe(CpeCluster& cluster, const CsiTables& tables,
-                              const Vec3* points, std::size_t n, double* out,
-                              ExecMode mode) {
+void real_space_potential_cpe(CpeCluster& cluster,
+                              const hartree::MultipolePotential& potential,
+                              const Vec3* points, std::size_t n, double* out) {
   SWRAMAN_TRACE_SPAN(span, "sunway.kernel1");
   const CpeCounters before = cluster.total();
+  const PointAtomCost pair = point_atom_cost(grid::n_lm(potential.lmax()));
   cluster.run("kernel1", [&](CpeContext& ctx) {
     const auto [lo, hi] = ctx.my_slice(n);
     if (lo >= hi) return;
     // Tile the point slice through LDM: coordinates in, potentials out.
     const std::size_t tile =
         std::max<std::size_t>(1, ctx.ldm().capacity() / 4 / sizeof(Vec3));
-    std::vector<double> ylm;
-    std::vector<double> comps(tables.n_lm);
+    hartree::MultipolePotential::Workspace ws;
     for (std::size_t base = lo; base < hi; base += tile) {
       ctx.ldm().reset();
       const std::size_t count = std::min(tile, hi - base);
       Vec3* coords = ctx.ldm().allocate<Vec3>(count);
       double* vout = ctx.ldm().allocate<double>(count);
       ctx.dma_get(coords, points + base, count);
-
       for (std::size_t k = 0; k < count; ++k) {
-        double v = 0.0;
-        for (const CsiAtomTable& at : tables.atoms) {
-          v += csi_point_atom(tables, at, coords[k], mode, ylm, comps);
-          // Coefficient block fetch for the interval (4 rows x n_lm) plus
-          // Y_lm work: charged as DMA traffic and flops.
-          ctx.counters().dma_bytes +=
-              static_cast<double>(4 * tables.n_lm * sizeof(double));
-          ctx.counters().dma_transfers += 1.0 / 16.0;  // blocks batch up
-          ctx.charge_flops(12.0 * static_cast<double>(tables.n_lm) + 30.0);
+        vout[k] = potential.value(coords[k], ws);
+        for (std::size_t a = 0; a < potential.n_atoms(); ++a) {
+          ctx.counters().dma_bytes += pair.dma_bytes;
+          ctx.counters().dma_transfers += pair.dma_transfers;
+          ctx.charge_flops(pair.flops);
         }
-        vout[k] = v;
       }
       ctx.dma_put(vout, out + base, count);
     }
   });
-  if (span.active()) {
-    span.attr("variant", mode == ExecMode::Simd ? "simd" : "scalar");
-    attach_kernel_span_attrs(span, cluster, before, static_cast<double>(n), 0.9);
-  }
+  attach_kernel_span_attrs(span, cluster, before, static_cast<double>(n), 0.9);
 }
 
 ReciprocalTables build_reciprocal_tables(const hartree::Ewald& ewald) {

@@ -12,9 +12,10 @@
 // The DFPT hotspot kernels in their Sunway form (paper Sec. 3.2):
 //
 //  * kernel1 — real-space response potential: cubic-spline interpolation
-//    (CSI, Algorithm 2) of the per-atom multipole channels, evaluated from
-//    structure-of-arrays monomial coefficient tables; scalar and genuinely
-//    vectorized (8-lane poly3) execution.
+//    (CSI, Algorithm 2) of the per-atom multipole channels. The tables are
+//    hartree::MultipolePotential's own structure-of-arrays [knot][lm] rows
+//    and the evaluator is its value(): one format, one evaluator, staged
+//    here through LDM point tiles.
 //  * kernel2 — reciprocal-space potential update: the Ewald G-sum with the
 //    irregular structure-factor gather (the "WPxy" pattern of Fig. 5).
 //  * n1 / H1 batch kernels — response density and response Hamiltonian as
@@ -27,8 +28,6 @@
 
 namespace swraman::sunway {
 
-enum class ExecMode { Scalar, Simd };
-
 // Attaches the cost model's view of a kernel execution to its trace span:
 // counter deltas since `before` (flops, DMA, RMA) plus the modeled cycles
 // for the MPE-scalar and CPE-tiled variants — the attributes
@@ -40,34 +39,22 @@ void attach_kernel_span_attrs(obs::ScopedSpan& span, const CpeCluster& cluster,
 
 // --- kernel1: CSI real-space potential ---
 
-struct CsiAtomTable {
-  Vec3 center;
-  double outer_radius = 0.0;
-  std::vector<double> knots;    // shell radii (ascending)
-  // coeff[(interval * 4 + c) * n_lm + lm]: monomial c of channel lm.
-  std::vector<double> coeff;
-  std::vector<double> moments;  // far-field q_lm
+// Modeled CPE cost of one (point, atom) evaluation of
+// MultipolePotential::value_atom with n_lm channels. kernel1, the FMM near
+// field (P2P) and the FMM Auto crossover all price a pair this way.
+struct PointAtomCost {
+  double flops = 0.0;          // channel and Y_lm arithmetic
+  double dma_bytes = 0.0;      // the interval's 4-row x n_lm table block
+  double dma_transfers = 0.0;  // blocks batch up, 16 per transfer
 };
+[[nodiscard]] PointAtomCost point_atom_cost(std::size_t n_lm);
 
-struct CsiTables {
-  int lmax = 0;
-  std::size_t n_lm = 0;
-  std::vector<CsiAtomTable> atoms;
-
-  [[nodiscard]] std::size_t coeff_bytes() const;
-};
-
-CsiTables build_csi_tables(const hartree::MultipolePotential& potential);
-
-// Host execution; out[i] = V(points[i]). Must match
-// MultipolePotential::value to rounding.
-void real_space_potential(const CsiTables& tables, const Vec3* points,
-                          std::size_t n, double* out, ExecMode mode);
-
-// CPE-cluster execution: points tiled over CPEs and through LDM.
-void real_space_potential_cpe(CpeCluster& cluster, const CsiTables& tables,
-                              const Vec3* points, std::size_t n, double* out,
-                              ExecMode mode);
+// CPE-cluster execution of MultipolePotential::value: points tiled over
+// CPEs and through LDM, each charged one PointAtomCost per atom.
+// out[i] is bitwise equal to potential.value(points[i]).
+void real_space_potential_cpe(CpeCluster& cluster,
+                              const hartree::MultipolePotential& potential,
+                              const Vec3* points, std::size_t n, double* out);
 
 // --- kernel2: reciprocal-space potential ---
 

@@ -57,8 +57,8 @@ TEST(CheckClean, ReduceLocalPipelinedAllShapes) {
 
 TEST(CheckClean, Kernel1RealSpacePotential) {
   check::ScopedChecking checking;
-  // Compact two-atom CSI table (synthetic spline channels are enough to
-  // exercise the tiled CPE path; numerics must match the host exactly).
+  // Compact two-atom potential (a light grid is enough to exercise the
+  // tiled CPE path; numerics must match value() exactly).
   const std::vector<grid::AtomSite> atoms = {{8, {0.0, 0.0, 0.0}},
                                              {1, {0.0, 0.0, 1.8}}};
   grid::GridSettings s;
@@ -70,18 +70,13 @@ TEST(CheckClean, Kernel1RealSpacePotential) {
     n[p] = std::pow(1.3 / kPi, 1.5) * std::exp(-1.3 * g.points[p].norm2());
   }
   const hartree::MultipolePotential pot = solver.solve(n);
-  const CsiTables t = build_csi_tables(pot);
 
   const std::vector<Vec3> pts = probe_points(400, 9);
-  std::vector<double> host(pts.size());
   std::vector<double> cpe(pts.size());
-  real_space_potential(t, pts.data(), pts.size(), host.data(),
-                       ExecMode::Simd);
   CpeCluster cluster(sw26010pro());
-  real_space_potential_cpe(cluster, t, pts.data(), pts.size(), cpe.data(),
-                           ExecMode::Simd);
+  real_space_potential_cpe(cluster, pot, pts.data(), pts.size(), cpe.data());
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    ASSERT_DOUBLE_EQ(cpe[i], host[i]) << i;
+    ASSERT_EQ(cpe[i], pot.value(pts[i])) << i;
   }
   EXPECT_EQ(check::total_violations(), 0u);
 }
