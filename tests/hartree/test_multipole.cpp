@@ -1,5 +1,6 @@
 #include "hartree/multipole.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -182,6 +183,70 @@ TEST(Multipole, ZeroDensityGivesZeroPotential) {
       solver.solve(std::vector<double>(g.size(), 0.0));
   EXPECT_DOUBLE_EQ(pot.total_charge(), 0.0);
   EXPECT_DOUBLE_EQ(pot.value({1.0, 1.0, 1.0}), 0.0);
+}
+
+// value() is the atom-ordered sum of value_atom() on both sides of each
+// atom's outer radius — equal up to rounding, since value() keeps one
+// running sum across atoms — and its thread-local and caller-workspace
+// forms agree bit for bit. outer_radius() is the atom's outermost shell.
+TEST(Multipole, ValueIsAtomOrderedSumOfValueAtom) {
+  const std::vector<grid::AtomSite> atoms = {{8, {0.0, 0.0, 0.0}},
+                                             {1, {0.0, 0.0, 1.8}}};
+  const grid::MolecularGrid g = make_grid(atoms, grid::GridLevel::Light);
+  const MultipoleSolver solver(g, 4);
+  std::vector<double> n(g.size());
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    n[p] = gaussian_density(g.points[p], {0, 0, 0}, 1.3) +
+           gaussian_density(g.points[p], {0, 0, 1.8}, 0.9);
+  }
+  const MultipolePotential pot = solver.solve(n);
+  ASSERT_EQ(pot.n_atoms(), 2u);
+
+  std::vector<Vec3> pts = {{0.0, 0.0, 0.0}, {0.0, 0.0, 1.8},
+                           {0.3, -0.2, 0.7}, {2.0, 1.0, -1.0}};
+  for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+    double outer = 0.0;
+    for (const grid::ShellInfo& sh : g.shells) {
+      if (static_cast<std::size_t>(sh.atom) == a) {
+        outer = std::max(outer, sh.radius);
+      }
+    }
+    EXPECT_EQ(pot.outer_radius(a), outer) << "atom " << a;
+    EXPECT_EQ((pot.centers()[a] - atoms[a].pos).norm(), 0.0);
+    for (double f : {0.999, 1.0, 1.001, 3.0}) {
+      pts.push_back(pot.centers()[a] + Vec3{0.6, 0.0, 0.8} * (f * outer));
+    }
+  }
+  MultipolePotential::Workspace ws;
+  for (const Vec3& p : pts) {
+    double sum = 0.0;
+    for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+      sum += pot.value_atom(a, p, ws);
+    }
+    EXPECT_NEAR(pot.value(p, ws), sum, 1e-14 * (1.0 + std::abs(sum)));
+    EXPECT_EQ(pot.value(p), pot.value(p, ws));
+  }
+}
+
+// Inside the outer radius an atom's potential comes from its spline rows,
+// beyond it from the analytic multipole far field. For a density that the
+// shells contain, the two must meet at the outer radius.
+TEST(Multipole, SplineMeetsFarFieldAtOuterRadius) {
+  const std::vector<grid::AtomSite> atoms = {{8, {0.0, 0.0, 0.0}}};
+  const grid::MolecularGrid g = make_grid(atoms);
+  const MultipoleSolver solver(g, 4);
+  std::vector<double> n(g.size());
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    n[p] = gaussian_density(g.points[p], {0, 0, 0}, 1.2);
+  }
+  const MultipolePotential pot = solver.solve(n);
+  const double outer = pot.outer_radius(0);
+  ASSERT_GT(outer, 5.0);
+  const Vec3 dir = Vec3{1.0, -2.0, 2.0} / 3.0;
+  const double inside = pot.value(dir * (outer * (1.0 - 1e-12)));
+  const double beyond = pot.value(dir * (outer * (1.0 + 1e-12)));
+  EXPECT_NEAR(inside, beyond, 1e-5 / outer);
+  EXPECT_NEAR(inside, 1.0 / outer, 1e-4 / outer);
 }
 
 }  // namespace
