@@ -19,6 +19,40 @@ cd "$(dirname "$0")/.."
 SANITIZER="${SWRAMAN_SANITIZE:-address}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# assert_checked FILE LABEL [SCHEMA...]: validates a SWRAMAN_CHECK_FILE
+# (JSON-lines, one summary line per checker: swraman-check-v1 from
+# swcheck, swraman-lockcheck-v1 from the host concurrency checker),
+# asserts every checker in it ran enabled, and asserts zero violations
+# for each SCHEMA named. With no SCHEMA the run is seeded: swcheck must
+# have reported, and its violations are expected.
+assert_checked() {
+  local file="$1" label="$2"
+  shift 2
+  python3 scripts/check_perf_json.py "${file}"
+  python3 - "${file}" "${label}" "$@" <<'EOF'
+import json, sys
+path, label, zero = sys.argv[1], sys.argv[2], sys.argv[3:]
+docs = {}
+with open(path) as f:
+    for line in f:
+        if line.strip():
+            d = json.loads(line)
+            docs[d["schema"]] = d
+assert docs, f"{label}: no checker summary in {path}"
+for s in docs.values():
+    assert s["enabled"] is True, s
+for schema in zero:
+    s = docs[schema]
+    assert s["violations"] == 0, \
+        f"{label}: {schema} violations under SWRAMAN_CHECK=1: {s}"
+if zero:
+    print(f"{label}: " + ", ".join(f"{schema} clean" for schema in zero))
+else:
+    n = docs["swraman-check-v1"]["violations"]
+    print(f"{label}: {n} swcheck violation(s) (all seeded and caught)")
+EOF
+}
+
 echo "== tier-1: plain build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
@@ -37,20 +71,8 @@ mkdir -p "${CHECK_DIR}"
 SWRAMAN_CHECK=1 \
   SWRAMAN_CHECK_FILE="${CHECK_DIR}/swraman_check.json" \
   ./build/tests/test_sunway_check
-python3 scripts/check_perf_json.py "${CHECK_DIR}/swraman_check.json"
-python3 - "${CHECK_DIR}/swraman_check.json" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            d = json.loads(line)
-            docs[d["schema"]] = d
-s = docs["swraman-check-v1"]
-assert s["enabled"] is True, s
-print(f"checked run: {s['violations']} swcheck violation(s) "
-      f"(all seeded and caught)")
-EOF
+# Its swcheck violations are seeded on purpose: enabled-only.
+assert_checked "${CHECK_DIR}/swraman_check.json" test_sunway_check
 
 echo "== tier-1: sunway + fmm suites + golden Fmm water under the checkers =="
 # The CPE-modeled kernels run with the accelerator shadow checker live:
@@ -69,21 +91,8 @@ for run in "test_sunway:./build/tests/test_sunway" \
   SWRAMAN_CHECK=1 \
     SWRAMAN_CHECK_FILE="${CHECK_DIR}/${name}_check.json" \
     ${cmd} >/dev/null
-  python3 scripts/check_perf_json.py "${CHECK_DIR}/${name}_check.json"
-  python3 - "${CHECK_DIR}/${name}_check.json" "${name}" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            docs[json.loads(line)["schema"]] = json.loads(line)
-for schema in ("swraman-check-v1", "swraman-lockcheck-v1"):
-    s = docs[schema]
-    assert s["enabled"] is True, s
-    assert s["violations"] == 0, \
-        f"{sys.argv[2]}: {schema} violations under SWRAMAN_CHECK=1: {s}"
-print(f"{sys.argv[2]}: swcheck + lockcheck clean")
-EOF
+  assert_checked "${CHECK_DIR}/${name}_check.json" "${name}" \
+    swraman-check-v1 swraman-lockcheck-v1
 done
 
 echo "== tier-1: serve + obs suites under the concurrency checker =="
@@ -95,22 +104,8 @@ for suite in test_serve test_obs test_parallel; do
   SWRAMAN_CHECK=1 \
     SWRAMAN_CHECK_FILE="${CHECK_DIR}/${suite}_check.json" \
     "./build/tests/${suite}" >/dev/null
-  python3 scripts/check_perf_json.py "${CHECK_DIR}/${suite}_check.json"
-  python3 - "${CHECK_DIR}/${suite}_check.json" "${suite}" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            d = json.loads(line)
-            docs[d["schema"]] = d
-s = docs["swraman-lockcheck-v1"]
-assert s["enabled"] is True, s
-assert s["violations"] == 0, \
-    f"{sys.argv[2]}: lockcheck violations under SWRAMAN_CHECK=1: {s}"
-print(f"{sys.argv[2]}: lockcheck clean "
-      f"({len(s['sites'])} lock classes in the order graph)")
-EOF
+  assert_checked "${CHECK_DIR}/${suite}_check.json" "${suite}" \
+    swraman-lockcheck-v1
 done
 
 echo "== tier-1: traced smoke run (SWRAMAN_TRACE=1) =="
@@ -191,21 +186,8 @@ python3 scripts/check_perf_json.py "${SMOKE_DIR}/BENCH_chaos.json"
 # The chaos run is the concurrency checker's hardest gate: shard kills,
 # WAL replay, failover and remote-cache timeouts, all with the lock
 # graph and the p2p verifier live — and zero violations tolerated.
-python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_check.json"
-python3 - "${SMOKE_DIR}/chaos_check.json" <<'EOF'
-import json, sys
-docs = {}
-with open(sys.argv[1]) as f:
-    for line in f:
-        if line.strip():
-            d = json.loads(line)
-            docs[d["schema"]] = d
-s = docs["swraman-lockcheck-v1"]
-assert s["enabled"] is True, s
-assert s["violations"] == 0, \
-    f"chaos run: lockcheck violations: {s}"
-print(f"chaos run: lockcheck clean ({len(s['sites'])} lock classes)")
-EOF
+assert_checked "${SMOKE_DIR}/chaos_check.json" "chaos run" \
+  swraman-lockcheck-v1
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_jobtrace.json"
 python3 scripts/check_perf_json.py "${SMOKE_DIR}/chaos_health.json"
 test -f "${SMOKE_DIR}/flight-serve.shard.kill.json" || {

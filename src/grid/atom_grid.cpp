@@ -29,6 +29,14 @@ double size_adjusted_mu(double mu, double chi) {
 
 }  // namespace
 
+std::vector<AtomSite> displaced(std::vector<AtomSite> atoms,
+                                std::size_t coord, double step) {
+  SWRAMAN_REQUIRE(coord < 3 * atoms.size(),
+                  "displaced: coordinate out of range");
+  atoms[coord / 3].pos[static_cast<int>(coord % 3)] += step;
+  return atoms;
+}
+
 int radial_count(const GridSettings& s, int z) {
   if (s.n_radial > 0) return s.n_radial;
   int base = 0;

@@ -20,6 +20,13 @@ struct AtomSite {
   Vec3 pos;
 };
 
+// `atoms` with flat Cartesian coordinate `coord` (atom coord / 3, axis
+// coord % 3) moved by `step`. The one place the 3N flat index meets the
+// atom list: every finite-difference displacement (Hessian, gradient,
+// forces, displaced polarizabilities, serve cache keys) goes through it.
+std::vector<AtomSite> displaced(std::vector<AtomSite> atoms,
+                                std::size_t coord, double step);
+
 // Grid quality presets mirroring FHI-aims' "light" / "tight" / "really
 // tight" defaults (coarser absolute sizes; relative structure preserved).
 enum class GridLevel { Light, Tight, ReallyTight };

@@ -1,10 +1,8 @@
 #include "raman/bec.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "obs/obs.hpp"
 #include "raman/checkpoint.hpp"
 #include "robustness/fault.hpp"
@@ -167,46 +165,32 @@ linalg::Matrix finite_field_polarizability(
   return alpha;
 }
 
+GeometryRecord field_point(const std::vector<grid::AtomSite>& atoms,
+                           const scf::ScfOptions& scf_options,
+                           double strength, int idx,
+                           const scf::ForceEvaluator& forces) {
+  scf::ScfOptions opts = scf_options;
+  const Vec3 field = field_vector(idx, strength);
+  opts.electric_field = field;
+  scf::ScfEngine engine(atoms, opts);
+  const scf::GroundState gs = engine.solve();
+  if (!gs.converged) {
+    throw ConvergenceError("finite-field SCF did not converge");
+  }
+  GeometryRecord rec;
+  rec.forces = forces.forces(gs, field);
+  for (std::size_t i = 0; i < 3; ++i) {
+    rec.dipole[i] = gs.dipole[static_cast<int>(i)];
+  }
+  return rec;
+}
+
 BecCalculator::BecCalculator(std::vector<grid::AtomSite> atoms,
                              BecOptions options)
     : atoms_(std::move(atoms)), options_(std::move(options)) {
   SWRAMAN_REQUIRE(!atoms_.empty(), "BecCalculator: no atoms");
   SWRAMAN_REQUIRE(options_.field_strength > 0.0,
                   "BecCalculator: field strength must be positive");
-}
-
-GeometryRecord BecCalculator::evaluate_field(int idx) {
-  SWRAMAN_TRACE_SPAN(span, "raman.bec.field");
-  if (span.active()) span.attr("field", static_cast<double>(idx));
-  scf::ScfOptions opts = options_.vibrations.scf;
-  const Vec3 field = field_vector(idx, options_.field_strength);
-  opts.electric_field = field;
-  if (!forces_) {
-    forces_ = std::make_unique<scf::ForceEvaluator>(atoms_,
-                                                    options_.vibrations.scf);
-  }
-  const int attempts = std::max(1, options_.field_attempts);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      scf::ScfEngine engine(atoms_, opts);
-      const scf::GroundState gs = engine.solve();
-      SWRAMAN_REQUIRE(gs.converged, "BecCalculator: SCF did not converge");
-      GeometryRecord rec;
-      rec.forces = forces_->forces(gs, field);
-      for (int i = 0; i < 3; ++i) {
-        rec.dipole[static_cast<std::size_t>(i)] = gs.dipole[i];
-      }
-      ++n_field_forces_;
-      return rec;
-    } catch (const FaultInjected&) {
-      throw;  // a simulated hard failure (process kill) must propagate
-    } catch (const Error& e) {
-      if (attempt >= attempts) throw;
-      log::warn("raman.bec.field: stencil point ", idx,
-                " failed on attempt ", attempt, "/", attempts, " (",
-                e.what(), ") — retrying");
-    }
-  }
 }
 
 std::vector<GeometryRecord> BecCalculator::field_records() {
@@ -222,22 +206,21 @@ std::vector<GeometryRecord> BecCalculator::field_records() {
   }
   std::vector<GeometryRecord> records(static_cast<std::size_t>(n));
   for (int idx = 0; idx < n; ++idx) {
-    if (const GeometryRecord* stored =
-            ckpt.lookup(static_cast<std::size_t>(idx), 0)) {
-      records[static_cast<std::size_t>(idx)] = *stored;
-      obs::count("checkpoint.hits");
-      continue;
-    }
-    obs::count("checkpoint.misses");
-    records[static_cast<std::size_t>(idx)] = evaluate_field(idx);
-    ckpt.record(static_cast<std::size_t>(idx), 0,
-                records[static_cast<std::size_t>(idx)]);
-    // Simulated mid-loop process death: fires only on freshly computed
-    // field points, after their checkpoint record is durable — the same
-    // crash window the displacement pipeline's kRamanKill covers.
-    if (fault::should_fire(fault::kBecKill)) {
-      fault::FaultInjector::raise(fault::kBecKill);
-    }
+    records[static_cast<std::size_t>(idx)] = replay_or_evaluate(
+        ckpt, static_cast<std::size_t>(idx), 0, kDefaultTaskAttempts,
+        fault::kBecKill, [&] {
+          SWRAMAN_TRACE_SPAN(field, "raman.bec.field");
+          if (field.active()) field.attr("field", static_cast<double>(idx));
+          if (!forces_) {
+            forces_ = std::make_unique<scf::ForceEvaluator>(
+                atoms_, options_.vibrations.scf);
+          }
+          GeometryRecord rec =
+              field_point(atoms_, options_.vibrations.scf,
+                          options_.field_strength, idx, *forces_);
+          ++n_field_forces_;
+          return rec;
+        });
   }
   return records;
 }
@@ -251,11 +234,6 @@ linalg::Matrix BecCalculator::polarizability_derivatives() {
   bec_derivatives(records, options_.field_strength, n_coords,
                   options_.enforce_sum_rule, &dalpha, &dmu_);
   return dalpha;
-}
-
-linalg::Matrix BecCalculator::finite_field_polarizability() {
-  return raman::finite_field_polarizability(field_records(),
-                                            options_.field_strength);
 }
 
 RamanSpectrum BecCalculator::compute() {

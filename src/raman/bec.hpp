@@ -69,10 +69,9 @@ struct BecOptions {
   bool enforce_sum_rule = true;
   // Checkpoint file for the field loop (same format as the displacement
   // checkpoint; field records are keyed (stencil index, sign 0) and the
-  // header displacement slot carries the field strength).
+  // header displacement slot carries the field strength). Each field
+  // point is retried up to kDefaultTaskAttempts times.
   std::string checkpoint_path;
-  // Bounded retry per field point, mirroring RamanOptions::geometry_attempts.
-  int field_attempts = 2;
 };
 
 // Number of field points in the stencil (13).
@@ -102,6 +101,16 @@ void bec_derivatives(const std::vector<GeometryRecord>& records,
 linalg::Matrix finite_field_polarizability(
     const std::vector<GeometryRecord>& records, double field_strength);
 
+// One field point of the stencil, shared by BecCalculator and the serve
+// tier's RealEngine: the SCF at `atoms` under the field of stencil point
+// `idx` at `strength`, then the forces of that state from `forces` (built
+// for the same atoms and field-free `scf_options`) and the SCF dipole.
+// Throws ConvergenceError when the SCF does not converge.
+GeometryRecord field_point(const std::vector<grid::AtomSite>& atoms,
+                           const scf::ScfOptions& scf_options,
+                           double strength, int idx,
+                           const scf::ForceEvaluator& forces);
+
 // The bec-tier calculator: same external contract as RamanCalculator
 // (compute() returns a RamanSpectrum reusing the vibrations + assembly +
 // broadening pipeline) but step 2 costs 13 SCF solves total instead of
@@ -122,20 +131,16 @@ class BecCalculator {
     return dmu_;
   }
 
-  // Evaluates (or replays from the checkpoint) all 13 field records.
+  // Evaluates (or replays from the checkpoint) all 13 field records. A
+  // field SCF that does not converge throws ConvergenceError once the
+  // retries are spent.
   [[nodiscard]] std::vector<GeometryRecord> field_records();
-
-  // Equilibrium polarizability via the finite-field dipole derivative.
-  [[nodiscard]] linalg::Matrix finite_field_polarizability();
 
   // Finite-field force evaluations actually performed by this calculator
   // (checkpointed field points skipped on resume do not count).
   [[nodiscard]] int n_field_forces() const { return n_field_forces_; }
 
  private:
-  // One field point, with bounded retry on transient failures.
-  GeometryRecord evaluate_field(int idx);
-
   std::vector<grid::AtomSite> atoms_;
   BecOptions options_;
   linalg::Matrix dmu_;

@@ -1,5 +1,6 @@
 #include "raman/checkpoint.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "obs/obs.hpp"
+#include "robustness/fault.hpp"
 
 namespace swraman::raman {
 
@@ -196,6 +198,33 @@ void Checkpoint::record(std::size_t coord, int sign,
   if (!active()) return;
   records_[{coord, sign}] = rec;
   append_record({coord, sign}, rec);
+}
+
+GeometryRecord replay_or_evaluate(
+    Checkpoint& ckpt, std::size_t key, int sign, int attempts,
+    const char* kill_site, const std::function<GeometryRecord()>& evaluate) {
+  if (const GeometryRecord* stored = ckpt.lookup(key, sign)) {
+    obs::count("checkpoint.hits");
+    return *stored;
+  }
+  obs::count("checkpoint.misses");
+  attempts = std::max(1, attempts);
+  GeometryRecord rec;
+  for (int attempt = 1;; ++attempt) {
+    try {
+      rec = evaluate();
+      break;
+    } catch (const FaultInjected&) {
+      throw;  // a simulated hard failure (process kill) must propagate
+    } catch (const Error& e) {
+      if (attempt >= attempts) throw;
+      log::warn("raman: task (", key, ", ", sign, ") failed on attempt ",
+                attempt, "/", attempts, " (", e.what(), ") — retrying");
+    }
+  }
+  ckpt.record(key, sign, rec);
+  if (fault::should_fire(kill_site)) fault::FaultInjector::raise(kill_site);
+  return rec;
 }
 
 }  // namespace swraman::raman

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -87,5 +88,24 @@ class Checkpoint {
   std::string path_;
   std::map<std::pair<std::size_t, int>, GeometryRecord> records_;
 };
+
+// Bounded retry per checkpointed task on transient failures (comm
+// timeout, recovered-then-exhausted divergence). RamanOptions::
+// geometry_attempts defaults to it; the bec tier's field loop uses it.
+inline constexpr int kDefaultTaskAttempts = 2;
+
+// One task of a checkpointed evaluation loop — a displaced geometry of
+// RamanCalculator (key = coordinate, sign +/-1) or a field point of
+// BecCalculator (key = stencil index, sign 0):
+//   1. replays the stored record when `ckpt` has one (checkpoint.hits);
+//   2. otherwise (checkpoint.misses) runs `evaluate`, retrying an Error
+//      up to `attempts` tries in all — an injected FaultInjected (a
+//      simulated process death) always propagates;
+//   3. appends the fresh record to `ckpt`, flushed before it is used;
+//   4. fires the fault site `kill_site`: a simulated process death right
+//      after the record became durable, the crash window restart covers.
+GeometryRecord replay_or_evaluate(
+    Checkpoint& ckpt, std::size_t key, int sign, int attempts,
+    const char* kill_site, const std::function<GeometryRecord()>& evaluate);
 
 }  // namespace swraman::raman

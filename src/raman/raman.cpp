@@ -1,12 +1,10 @@
 #include "raman/raman.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/constants.hpp"
 #include "common/elements.hpp"
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "obs/obs.hpp"
 #include "raman/checkpoint.hpp"
 #include "robustness/fault.hpp"
@@ -19,46 +17,36 @@ RamanCalculator::RamanCalculator(std::vector<grid::AtomSite> atoms,
   SWRAMAN_REQUIRE(!atoms_.empty(), "RamanCalculator: no atoms");
 }
 
-linalg::Matrix RamanCalculator::polarizability_at(
-    const std::vector<grid::AtomSite>& geometry, Vec3* dipole) {
-  scf::ScfEngine engine(geometry, options_.vibrations.scf);
+GeometryRecord displaced_polarizability(
+    const std::vector<grid::AtomSite>& atoms, const RamanOptions& options,
+    std::size_t coord, int sign, int* n_solved) {
+  scf::ScfEngine engine(
+      grid::displaced(atoms, coord, sign * options.alpha_displacement),
+      options.vibrations.scf);
   const scf::GroundState gs = engine.solve();
-  SWRAMAN_REQUIRE(gs.converged, "RamanCalculator: SCF did not converge");
-  if (dipole != nullptr) *dipole = gs.dipole;
-  dfpt::DfptEngine dfpt(engine, gs, options_.dfpt);
-  ++n_polarizabilities_;
-  return dfpt.polarizability();
+  if (!gs.converged) {
+    throw ConvergenceError("displaced SCF did not converge");
+  }
+  if (n_solved != nullptr) ++*n_solved;
+  dfpt::DfptEngine dfpt(engine, gs, options.dfpt);
+  const linalg::Matrix alpha = dfpt.polarizability();
+  GeometryRecord rec;
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) rec.alpha[3 * i + j] = alpha(i, j);
+    rec.dipole[i] = gs.dipole[static_cast<int>(i)];
+  }
+  return rec;
 }
 
-GeometryRecord RamanCalculator::evaluate_geometry(std::size_t coord,
-                                                  int sign) {
-  SWRAMAN_TRACE_SPAN(span, "raman.geometry");
-  if (span.active()) {
-    span.attr("coord", static_cast<double>(coord));
-    span.attr("sign", static_cast<double>(sign));
-  }
-  std::vector<grid::AtomSite> geometry = atoms_;
-  geometry[coord / 3].pos[static_cast<int>(coord % 3)] +=
-      sign * options_.alpha_displacement;
-  const int attempts = std::max(1, options_.geometry_attempts);
-  for (int attempt = 1;; ++attempt) {
-    try {
-      Vec3 mu;
-      const linalg::Matrix alpha = polarizability_at(geometry, &mu);
-      GeometryRecord rec;
-      for (std::size_t i = 0; i < 3; ++i) {
-        for (std::size_t j = 0; j < 3; ++j) rec.alpha[3 * i + j] = alpha(i, j);
-        rec.dipole[i] = mu[static_cast<int>(i)];
-      }
-      return rec;
-    } catch (const FaultInjected&) {
-      throw;  // a simulated hard failure (process kill) must propagate
-    } catch (const Error& e) {
-      if (attempt >= attempts) throw;
-      log::warn("raman.geometry: coordinate ", coord, " sign ",
-                sign > 0 ? "+" : "-", " failed on attempt ", attempt, "/",
-                attempts, " (", e.what(), ") — retrying");
+void difference_row(const GeometryRecord& plus, const GeometryRecord& minus,
+                    double d, std::size_t coord, linalg::Matrix* dalpha,
+                    linalg::Matrix* dmu) {
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      (*dalpha)(coord, 3 * i + j) =
+          (plus.alpha[3 * i + j] - minus.alpha[3 * i + j]) / (2.0 * d);
     }
+    (*dmu)(coord, i) = (plus.dipole[i] - minus.dipole[i]) / (2.0 * d);
   }
 }
 
@@ -77,28 +65,19 @@ linalg::Matrix RamanCalculator::polarizability_derivatives() {
     GeometryRecord rec[2];  // index 0: +d, index 1: -d
     for (int s = 0; s < 2; ++s) {
       const int sign = s == 0 ? +1 : -1;
-      if (const GeometryRecord* stored = ckpt.lookup(coord, sign)) {
-        rec[s] = *stored;
-        obs::count("checkpoint.hits");
-        continue;
-      }
-      obs::count("checkpoint.misses");
-      rec[s] = evaluate_geometry(coord, sign);
-      ckpt.record(coord, sign, rec[s]);
-      // Simulated mid-pipeline process death: fires only on freshly
-      // computed geometries, after their checkpoint record is durable —
-      // exactly the crash window restart is designed for.
-      if (fault::should_fire(fault::kRamanKill)) {
-        fault::FaultInjector::raise(fault::kRamanKill);
-      }
+      rec[s] = replay_or_evaluate(
+          ckpt, coord, sign, options_.geometry_attempts, fault::kRamanKill,
+          [&] {
+            SWRAMAN_TRACE_SPAN(geo, "raman.geometry");
+            if (geo.active()) {
+              geo.attr("coord", static_cast<double>(coord));
+              geo.attr("sign", static_cast<double>(sign));
+            }
+            return displaced_polarizability(atoms_, options_, coord, sign,
+                                            &n_polarizabilities_);
+          });
     }
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) {
-        deriv(coord, 3 * i + j) =
-            (rec[0].alpha[3 * i + j] - rec[1].alpha[3 * i + j]) / (2.0 * d);
-      }
-      dmu_(coord, i) = (rec[0].dipole[i] - rec[1].dipole[i]) / (2.0 * d);
-    }
+    difference_row(rec[0], rec[1], d, coord, &deriv, &dmu_);
   }
   return deriv;
 }

@@ -32,7 +32,7 @@ struct RamanOptions {
   // Bounded retry per displaced geometry: a transient failure (comm
   // timeout, recovered-then-exhausted divergence) is retried this many
   // times before the pipeline gives up and rethrows.
-  int geometry_attempts = 2;
+  int geometry_attempts = kDefaultTaskAttempts;
 };
 
 struct RamanMode {
@@ -60,6 +60,22 @@ struct BroadenedSpectrum {
   std::vector<double> intensity;
 };
 
+// One displaced-geometry task of step 2, shared by RamanCalculator and
+// the serve tier's RealEngine: the SCF at `atoms` with coordinate `coord`
+// moved by sign * options.alpha_displacement, then the DFPT
+// polarizability, packed with the SCF dipole into a record. Throws
+// ConvergenceError when the SCF does not converge. `n_solved`, when
+// given, is bumped once the SCF has converged, before the DFPT solve.
+GeometryRecord displaced_polarizability(
+    const std::vector<grid::AtomSite>& atoms, const RamanOptions& options,
+    std::size_t coord, int sign, int* n_solved = nullptr);
+
+// Row `coord` of d(alpha)/dR (3N x 9) and d(mu)/dR (3N x 3): the central
+// difference of the +d and -d records of that coordinate.
+void difference_row(const GeometryRecord& plus, const GeometryRecord& minus,
+                    double d, std::size_t coord, linalg::Matrix* dalpha,
+                    linalg::Matrix* dmu);
+
 class RamanCalculator {
  public:
   RamanCalculator(std::vector<grid::AtomSite> atoms, RamanOptions options);
@@ -72,6 +88,9 @@ class RamanCalculator {
   // and for the geometry-parallel scaling model). Also accumulates the
   // dipole derivatives d(mu)/dR from the same displaced SCF solutions,
   // giving IR intensities for free.
+  // Each displaced geometry is replayed from the checkpoint or evaluated
+  // with bounded retry (replay_or_evaluate); an SCF that does not converge
+  // throws ConvergenceError once the retries are spent.
   [[nodiscard]] linalg::Matrix polarizability_derivatives();
 
   // d(mu)/dR (3N x 3), valid after polarizability_derivatives()/compute().
@@ -86,13 +105,6 @@ class RamanCalculator {
   }
 
  private:
-  linalg::Matrix polarizability_at(
-      const std::vector<grid::AtomSite>& geometry, Vec3* dipole);
-
-  // One displaced geometry (coordinate + sign), with bounded retry on
-  // transient failures per RamanOptions::geometry_attempts.
-  GeometryRecord evaluate_geometry(std::size_t coord, int sign);
-
   std::vector<grid::AtomSite> atoms_;
   RamanOptions options_;
   linalg::Matrix dmu_;

@@ -1,6 +1,7 @@
 #include "raman/relax.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -23,7 +24,7 @@ std::vector<grid::AtomSite> displaced_all(
     const std::vector<grid::AtomSite>& atoms, const std::vector<double>& dx) {
   std::vector<grid::AtomSite> moved = atoms;
   for (std::size_t c = 0; c < dx.size(); ++c) {
-    moved[c / 3].pos[static_cast<int>(c % 3)] += dx[c];
+    moved = grid::displaced(std::move(moved), c, dx[c]);
   }
   return moved;
 }
@@ -37,11 +38,8 @@ std::vector<double> energy_gradient(const std::vector<grid::AtomSite>& atoms,
   const std::size_t n = 3 * atoms.size();
   std::vector<double> g(n);
   for (std::size_t c = 0; c < n; ++c) {
-    std::vector<grid::AtomSite> plus = atoms;
-    std::vector<grid::AtomSite> minus = atoms;
-    plus[c / 3].pos[static_cast<int>(c % 3)] += step;
-    minus[c / 3].pos[static_cast<int>(c % 3)] -= step;
-    g[c] = (scf_energy(plus, options) - scf_energy(minus, options)) /
+    g[c] = (scf_energy(grid::displaced(atoms, c, step), options) -
+            scf_energy(grid::displaced(atoms, c, -step), options)) /
            (2.0 * step);
   }
   return g;

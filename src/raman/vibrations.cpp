@@ -20,13 +20,6 @@ double scf_energy(std::vector<grid::AtomSite> atoms,
   return gs.total_energy;
 }
 
-std::vector<grid::AtomSite> displaced(const std::vector<grid::AtomSite>& atoms,
-                                      std::size_t coord, double step) {
-  std::vector<grid::AtomSite> moved = atoms;
-  moved[coord / 3].pos[static_cast<int>(coord % 3)] += step;
-  return moved;
-}
-
 }  // namespace
 
 linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
@@ -47,8 +40,10 @@ linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
   std::vector<double> e_plus(n);
   std::vector<double> e_minus(n);
   for (std::size_t i = 0; i < n; ++i) {
-    e_plus[i] = scf_energy(displaced(atoms, i, d), options.scf, restart);
-    e_minus[i] = scf_energy(displaced(atoms, i, -d), options.scf, restart);
+    e_plus[i] =
+        scf_energy(grid::displaced(atoms, i, d), options.scf, restart);
+    e_minus[i] =
+        scf_energy(grid::displaced(atoms, i, -d), options.scf, restart);
     h(i, i) = (e_plus[i] + e_minus[i] - 2.0 * e0) / (d * d);
   }
 
@@ -56,13 +51,17 @@ linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < i; ++j) {
       const double epp = scf_energy(
-          displaced(displaced(atoms, i, d), j, d), options.scf, restart);
+          grid::displaced(grid::displaced(atoms, i, d), j, d), options.scf,
+          restart);
       const double emm = scf_energy(
-          displaced(displaced(atoms, i, -d), j, -d), options.scf, restart);
+          grid::displaced(grid::displaced(atoms, i, -d), j, -d), options.scf,
+          restart);
       const double epm = scf_energy(
-          displaced(displaced(atoms, i, d), j, -d), options.scf, restart);
+          grid::displaced(grid::displaced(atoms, i, d), j, -d), options.scf,
+          restart);
       const double emp = scf_energy(
-          displaced(displaced(atoms, i, -d), j, d), options.scf, restart);
+          grid::displaced(grid::displaced(atoms, i, -d), j, d), options.scf,
+          restart);
       const double v = (epp + emm - epm - emp) / (4.0 * d * d);
       h(i, j) = v;
       h(j, i) = v;

@@ -25,11 +25,11 @@ ForceEvaluator::ForceEvaluator(std::vector<grid::AtomSite> atoms,
   displaced_.resize(2 * n_coords);
   for (std::size_t coord = 0; coord < n_coords; ++coord) {
     for (int s = 0; s < 2; ++s) {
-      std::vector<grid::AtomSite> moved = atoms_;
-      moved[coord / 3].pos[static_cast<int>(coord % 3)] +=
-          (s == 0 ? +displacement_ : -displacement_);
       displaced_[2 * coord + static_cast<std::size_t>(s)] =
-          std::make_unique<ScfEngine>(std::move(moved), options_);
+          std::make_unique<ScfEngine>(
+              grid::displaced(atoms_, coord,
+                              s == 0 ? +displacement_ : -displacement_),
+              options_);
     }
   }
 }

@@ -3,54 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.hpp"
-#include "dfpt/dfpt_engine.hpp"
-#include "obs/obs.hpp"
 #include "raman/bec.hpp"
-#include "scf/scf_engine.hpp"
+#include "raman/raman.hpp"
 
 namespace swraman::serve {
 
 raman::GeometryRecord RealEngine::evaluate(const TaskContext& ctx) {
-  if (ctx.field_force) return evaluate_field(ctx);
   const JobSpec& spec = *ctx.spec;
-  SWRAMAN_REQUIRE(ctx.coord < 3 * spec.atoms.size(),
-                  "RealEngine: coordinate out of range");
-  std::vector<grid::AtomSite> geometry = spec.atoms;
-  geometry[ctx.coord / 3].pos[static_cast<int>(ctx.coord % 3)] +=
-      ctx.sign * spec.options.alpha_displacement;
-
-  scf::ScfEngine engine(geometry, spec.options.vibrations.scf);
-  const scf::GroundState gs = engine.solve();
-  if (!gs.converged) {
-    throw ConvergenceError("serve: displaced SCF did not converge");
-  }
-  dfpt::DfptEngine dfpt(engine, gs, spec.options.dfpt);
-  const linalg::Matrix alpha = dfpt.polarizability();
-
-  raman::GeometryRecord rec;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) rec.alpha[3 * i + j] = alpha(i, j);
-    rec.dipole[i] = gs.dipole[static_cast<int>(i)];
-  }
-  return rec;
-}
-
-raman::GeometryRecord RealEngine::evaluate_field(const TaskContext& ctx) {
-  const JobSpec& spec = *ctx.spec;
-  SWRAMAN_REQUIRE(
-      ctx.coord < static_cast<std::size_t>(raman::n_field_points()),
-      "RealEngine: field stencil index out of range");
-
-  // Finite-field SCF at the equilibrium geometry (the per-task solve).
-  scf::ScfOptions field_opts = spec.options.vibrations.scf;
-  const Vec3 field =
-      raman::field_vector(static_cast<int>(ctx.coord), spec.bec_field);
-  field_opts.electric_field = field;
-  scf::ScfEngine engine(spec.atoms, field_opts);
-  const scf::GroundState gs = engine.solve();
-  if (!gs.converged) {
-    throw ConvergenceError("serve: finite-field SCF did not converge");
+  if (!ctx.field_force) {
+    return raman::displaced_polarizability(spec.atoms, spec.options,
+                                           ctx.coord, ctx.sign);
   }
 
   // Shared field-free displaced-sibling evaluator (see engine.hpp).
@@ -74,13 +36,9 @@ raman::GeometryRecord RealEngine::evaluate_field(const TaskContext& ctx) {
     }
     evaluator = forces_;
   }
-
-  raman::GeometryRecord rec;
-  rec.forces = evaluator->forces(gs, field);
-  for (std::size_t i = 0; i < 3; ++i) {
-    rec.dipole[i] = gs.dipole[static_cast<int>(i)];
-  }
-  return rec;
+  return raman::field_point(spec.atoms, spec.options.vibrations.scf,
+                            spec.bec_field, static_cast<int>(ctx.coord),
+                            *evaluator);
 }
 
 std::uint64_t splitmix64(std::uint64_t& state) {

@@ -11,9 +11,11 @@
 // Displacement-task execution backends. The service hands a backend one
 // task at a time:
 //
-//   RealEngine     SCF + DFPT on the actual displaced molecule — the same
-//                  solve RamanCalculator::polarizability_at performs, so a
-//                  served job reproduces the single-job pipeline.
+//   RealEngine     the real solves, through the same task functions the
+//                  serial calculators call: raman::displaced_polarizability
+//                  (SCF + DFPT on the displaced molecule) and
+//                  raman::field_point (finite-field SCF + forces), so a
+//                  served job reproduces the single-job pipeline bitwise.
 //   ModeledEngine  deterministic synthetic evaluation for machine-scale
 //                  systems (RBD, Table-1 silicon): the result is a pure
 //                  function of (canonical key, seed) and the engine burns
@@ -49,8 +51,6 @@ class RealEngine : public DisplacementEngine {
   raman::GeometryRecord evaluate(const TaskContext& ctx) override;
 
  private:
-  raman::GeometryRecord evaluate_field(const TaskContext& ctx);
-
   // The 13 field stencil points of one bec job share the equilibrium
   // displaced-sibling engines, so the evaluator (a 6N engine build, no
   // SCF) is cached across tasks keyed by (geometry, settings). forces()

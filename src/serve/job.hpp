@@ -59,7 +59,10 @@ struct JobSpec {
   core::SystemScale scale;
 
   // Bounded retry per task on transient failures (comm timeouts, injected
-  // worker faults) — mirrors RamanOptions::geometry_attempts.
+  // worker faults), run by the service around the engine's task functions
+  // (raman::displaced_polarizability, raman::field_point) — the serve-side
+  // counterpart of the calculators' replay_or_evaluate bound
+  // (RamanOptions::geometry_attempts, raman::kDefaultTaskAttempts).
   int attempts = 2;
 
   // Accuracy tier: Dfpt decomposes into 6N displacement tasks, Bec into

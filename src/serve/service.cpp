@@ -8,6 +8,7 @@
 #include "common/logging.hpp"
 #include "obs/obs.hpp"
 #include "raman/bec.hpp"
+#include "raman/raman.hpp"
 #include "raman/vibrations.hpp"
 #include "robustness/fault.hpp"
 
@@ -220,11 +221,10 @@ SubmitResult RamanService::submit(const JobSpec& spec,
           const int sign = s == 0 ? +1 : -1;
           const std::size_t node = dag.displacement_id(coord, sign);
           if (spec.engine == EngineKind::Real) {
-            std::vector<grid::AtomSite> geometry = spec.atoms;
-            geometry[coord / 3].pos[static_cast<int>(coord % 3)] +=
-                sign * spec.options.alpha_displacement;
-            const CanonicalKey ck =
-                canonical_key(geometry, settings_fp, options_.use_symmetry);
+            const CanonicalKey ck = canonical_key(
+                grid::displaced(spec.atoms, coord,
+                                sign * spec.options.alpha_displacement),
+                settings_fp, options_.use_symmetry);
             keys[node].key = ck.key;
             keys[node].to_canonical = ck.to_canonical;
           } else {
@@ -604,10 +604,8 @@ void RamanService::execute(std::size_t worker, TaskRef ref) {
   }
   switch (node.kind) {
     case TaskKind::Displacement:
-      run_displacement(worker, *job, ref.node);
-      break;
     case TaskKind::FieldForce:
-      run_field_force(worker, *job, ref.node);
+      run_evaluation(worker, *job, ref.node);
       break;
     case TaskKind::Hessian:
       run_hessian(worker, *job, ref.node);
@@ -625,19 +623,10 @@ void RamanService::execute(std::size_t worker, TaskRef ref) {
   drain_hooks();
 }
 
-void RamanService::run_displacement(std::size_t worker, JobState& job,
-                                    std::size_t node_id) {
-  run_evaluation(worker, job, node_id, /*field_force=*/false);
-}
-
-void RamanService::run_field_force(std::size_t worker, JobState& job,
-                                   std::size_t node_id) {
-  run_evaluation(worker, job, node_id, /*field_force=*/true);
-}
-
 void RamanService::run_evaluation(std::size_t worker, JobState& job,
-                                  std::size_t node_id, bool field_force) {
+                                  std::size_t node_id) {
   const TaskNode node = job.dag.node(node_id);
+  const bool field_force = node.kind == TaskKind::FieldForce;
   TaskContext ctx;
   ctx.spec = &job.spec;
   ctx.coord = node.coord;
@@ -822,14 +811,8 @@ void RamanService::run_row(std::size_t worker, JobState& job,
       job.dag.records[job.dag.displacement_id(coord, +1)];
   const raman::GeometryRecord& minus =
       job.dag.records[job.dag.displacement_id(coord, -1)];
-  const double d = job.spec.options.alpha_displacement;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      job.result.dalpha(coord, 3 * i + j) =
-          (plus.alpha[3 * i + j] - minus.alpha[3 * i + j]) / (2.0 * d);
-    }
-    job.result.dmu(coord, i) = (plus.dipole[i] - minus.dipole[i]) / (2.0 * d);
-  }
+  raman::difference_row(plus, minus, job.spec.options.alpha_displacement,
+                        coord, &job.result.dalpha, &job.result.dmu);
   complete_node(worker, job, node_id);
 }
 

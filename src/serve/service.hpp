@@ -187,11 +187,9 @@ class RamanService {
   static constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
 
   void execute(std::size_t worker, TaskRef ref);
-  void run_displacement(std::size_t worker, JobState& job, std::size_t node);
-  void run_field_force(std::size_t worker, JobState& job, std::size_t node);
-  // Shared evaluate/dedup/durability path of the two root task kinds.
-  void run_evaluation(std::size_t worker, JobState& job, std::size_t node,
-                      bool field_force);
+  // Evaluate/dedup/durability path of the two root task kinds
+  // (displacement and field-force nodes).
+  void run_evaluation(std::size_t worker, JobState& job, std::size_t node);
   void run_hessian(std::size_t worker, JobState& job, std::size_t node);
   void run_row(std::size_t worker, JobState& job, std::size_t node);
   void run_assemble(std::size_t worker, JobState& job, std::size_t node);

@@ -196,6 +196,18 @@ TEST(Bec, RejectsMalformedInputs) {
   EXPECT_THROW(BecCalculator(h2(), bad), Error);
 }
 
+TEST(Bec, UnconvergedFieldScfThrowsConvergenceError) {
+  // Three SCF iterations never converge (the exit needs iter > 3): the
+  // field loop raises the same error type as serve's RealEngine after its
+  // bounded retry, and counts no field force.
+  fault::ScopedFaults guard;
+  BecOptions opt = coarse_options();
+  opt.vibrations.scf.max_iterations = 3;
+  BecCalculator calc(h2(), opt);
+  EXPECT_THROW((void)calc.polarizability_derivatives(), ConvergenceError);
+  EXPECT_EQ(calc.n_field_forces(), 0);
+}
+
 TEST(Bec, H2ComputeCountsFieldForcesNotPolarizabilities) {
   fault::ScopedFaults guard;
   BecCalculator calc(h2(), coarse_options());

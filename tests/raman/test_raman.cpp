@@ -38,6 +38,19 @@ TEST(Raman, PolarizabilityCountMatchesPaperScheme) {
   EXPECT_EQ(spec.n_polarizabilities, 6 * 2);
 }
 
+TEST(Raman, UnconvergedDisplacedScfThrowsConvergenceError) {
+  // The SCF exit needs iter > 3, so three iterations never converge. The
+  // calculator raises the same error type as serve's RealEngine (one
+  // shared task), after its bounded retry, and counts no polarizability.
+  std::vector<grid::AtomSite> h2 = {{1, {0.0, 0.0, 0.0}},
+                                    {1, {0.0, 0.0, 1.45}}};
+  RamanOptions opt;
+  opt.vibrations.scf.max_iterations = 3;
+  RamanCalculator calc(h2, opt);
+  EXPECT_THROW((void)calc.polarizability_derivatives(), ConvergenceError);
+  EXPECT_EQ(calc.n_polarizabilities(), 0);
+}
+
 TEST(Broaden, PeaksAtModeFrequencies) {
   std::vector<RamanMode> modes(2);
   modes[0].frequency_cm = 1000.0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "robustness/fault.hpp"
 
 namespace swraman::raman {
 namespace {
@@ -132,6 +133,70 @@ TEST(Checkpoint, ToleratesTruncatedTrailingRecord) {
   EXPECT_EQ(again.size(), 3u);
   ASSERT_NE(again.lookup(3, +1), nullptr);
   EXPECT_EQ(again.lookup(3, +1)->alpha[0], sample_record(5.0).alpha[0]);
+  std::remove(path.c_str());
+}
+
+// The replay-or-evaluate step both Raman calculators run per task.
+TEST(ReplayOrEvaluate, RetriesTransientErrorThenRecordsAndReplays) {
+  fault::ScopedFaults guard;
+  const std::string path = temp_path("ckpt_replay_retry.txt");
+  std::remove(path.c_str());
+  Checkpoint ckpt(path, water(), 0.01);
+  int calls = 0;
+  const auto flaky = [&] {
+    if (++calls == 1) throw TimeoutError("transient");
+    return sample_record(3.0);
+  };
+  const GeometryRecord rec =
+      replay_or_evaluate(ckpt, 4, -1, 2, fault::kRamanKill, flaky);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(rec.alpha, sample_record(3.0).alpha);
+  ASSERT_NE(ckpt.lookup(4, -1), nullptr);
+  // A stored task is replayed without evaluating again.
+  const GeometryRecord again =
+      replay_or_evaluate(ckpt, 4, -1, 2, fault::kRamanKill, flaky);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(again.dipole, rec.dipole);
+  std::remove(path.c_str());
+}
+
+TEST(ReplayOrEvaluate, RethrowsAfterLastAttemptAndNeverRetriesAKill) {
+  fault::ScopedFaults guard;
+  Checkpoint ckpt;
+  int calls = 0;
+  EXPECT_THROW(replay_or_evaluate(ckpt, 0, +1, 2, fault::kRamanKill,
+                                  [&]() -> GeometryRecord {
+                                    ++calls;
+                                    throw ConvergenceError("unconverged");
+                                  }),
+               ConvergenceError);
+  EXPECT_EQ(calls, 2);
+  calls = 0;
+  EXPECT_THROW(replay_or_evaluate(ckpt, 0, +1, 3, fault::kRamanKill,
+                                  [&]() -> GeometryRecord {
+                                    ++calls;
+                                    throw FaultInjected("killed");
+                                  }),
+               FaultInjected);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ReplayOrEvaluate, KillSiteFiresAfterTheRecordIsDurable) {
+  fault::ScopedFaults guard;
+  fault::FaultSpec fs;
+  fs.fire_at = 1;
+  fault::FaultInjector::instance().configure(fault::kBecKill, fs);
+  const std::string path = temp_path("ckpt_replay_kill.txt");
+  std::remove(path.c_str());
+  {
+    Checkpoint ckpt(path, water(), 0.01);
+    EXPECT_THROW(replay_or_evaluate(ckpt, 2, 0, 2, fault::kBecKill,
+                                    [] { return sample_record(5.0); }),
+                 FaultInjected);
+  }
+  Checkpoint resumed(path, water(), 0.01);
+  ASSERT_NE(resumed.lookup(2, 0), nullptr);
+  EXPECT_EQ(resumed.lookup(2, 0)->alpha, sample_record(5.0).alpha);
   std::remove(path.c_str());
 }
 
