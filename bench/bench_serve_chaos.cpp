@@ -254,10 +254,10 @@ int main(int argc, char** argv) {
                 {}, {});
 
   std::printf("chaos pass (kills + torn WAL + remote timeouts)...\n");
-  // Jobtrace only now: both passes replay the same trace through fresh
-  // services, so gids repeat — tracing the fault-free pass would merge
-  // its spans into the chaos timelines the stitching gate inspects.
-  obs::set_jobtrace_enabled(true);
+  // Fresh job timelines: both passes replay the same trace through fresh
+  // services, so gids repeat — the fault-free pass's spans would merge
+  // into the chaos timelines the stitching gate inspects.
+  obs::JobTraceRegistry::instance().reset_for_testing();
   // Torn-write and remote-timeout sites stay armed for the whole pass;
   // the kill site is re-armed at each kill point inside run_trace.
   fault::reset();

@@ -1,10 +1,9 @@
 #include "common/lockcheck.hpp"
 
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 
 namespace swraman::lockcheck {
@@ -71,12 +70,6 @@ State& state() {
   return *s;
 }
 
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
 // Compiler __FILE__ paths are absolute on this builder; trim to the
 // repo-relative tail so site ids read as src/serve/service.hpp:207.
 std::string trim_path(const std::string& file) {
@@ -133,26 +126,6 @@ std::string record_violation(const char* rule, const std::string& context) {
   return what;
 }
 
-void write_env_summary() {
-  const char* path = std::getenv("SWRAMAN_CHECK_FILE");
-  const std::string json = summary_json();
-  if (path == nullptr || *path == '\0' ||
-      std::string(path) == "-") {
-    std::cerr << json << "\n";
-    return;
-  }
-  // Appended, not truncated: SWRAMAN_CHECK_FILE is shared with swcheck
-  // as a JSON-lines file, one line per checker; both EnvInits truncate
-  // it at static init (idempotent, pre-main) and both exit hooks
-  // append.
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    log::error("lockcheck: cannot open summary file ", path);
-    return;
-  }
-  out << json << "\n";
-}
-
 // Reads SWRAMAN_CHECK at static-initialization time so any binary —
 // bench, example, test — runs checked without touching its main().
 struct EnvInit {
@@ -160,11 +133,7 @@ struct EnvInit {
     state();  // force construction before any atexit callback may run
     if (env_truthy(std::getenv("SWRAMAN_CHECK"))) {
       set_enabled(true);
-      const char* path = std::getenv("SWRAMAN_CHECK_FILE");
-      if (path != nullptr && *path != '\0' && std::string(path) != "-") {
-        const std::ofstream trunc(path, std::ios::trunc);
-      }
-      std::atexit(write_env_summary);
+      write_check_summary_at_exit("lockcheck", summary_json);
     }
   }
 };
@@ -271,21 +240,6 @@ std::string summary_json() {
   }
   os << "]}";
   return os.str();
-}
-
-bool write_summary(const std::string& path) {
-  const std::string json = summary_json();
-  if (path.empty() || path == "-") {
-    std::cerr << json << "\n";
-    return true;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    log::error("lockcheck: cannot open summary file ", path);
-    return false;
-  }
-  out << json << "\n";
-  return static_cast<bool>(out);
 }
 
 void reset_for_testing() {

@@ -99,10 +99,6 @@ struct SiteInfo {
 // site table. A disabled run serializes to an empty report.
 [[nodiscard]] std::string summary_json();
 
-// Writes summary_json() to `path` ("-" or empty: stderr). Returns false
-// when the file could not be opened.
-bool write_summary(const std::string& path);
-
 // Clears the tally, the acquisition-order graph, and the calling
 // thread's held-lock set (tests). Lock-class ids stay stable.
 void reset_for_testing();

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -96,12 +97,6 @@ std::string sanitize(const std::string& reason) {
     out += ok ? c : '_';
   }
   return out.empty() ? std::string("unknown") : out;
-}
-
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
 }
 
 struct EnvInit {

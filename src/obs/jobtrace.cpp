@@ -1,17 +1,13 @@
 #include "obs/jobtrace.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <exception>
 #include <utility>
 
 #include "common/logging.hpp"
 #include "obs/report.hpp"
 
 namespace swraman::obs {
-
-namespace detail {
-std::atomic<bool> g_jobtrace_enabled{false};
-}  // namespace detail
 
 namespace {
 
@@ -20,38 +16,7 @@ namespace {
 // "spans_dropped" attribute on export.
 constexpr std::size_t kMaxSpansPerJob = 1 << 16;
 
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
-void write_env_jobtrace() {
-  const char* v = std::getenv("SWRAMAN_JOBTRACE_FILE");
-  const std::string path(v != nullptr ? v : "swraman_jobtrace.json");
-  if (path.empty()) return;
-  if (write_jobtrace_file(path)) {
-    log::info("obs: wrote jobtrace (", JobTraceRegistry::instance().n_jobs(),
-              " jobs) to ", path);
-  }
-}
-
-struct EnvInit {
-  EnvInit() {
-    JobTraceRegistry::instance();  // construct before any atexit callback
-    if (env_truthy(std::getenv("SWRAMAN_JOBTRACE"))) {
-      set_jobtrace_enabled(true);
-      std::atexit(write_env_jobtrace);
-    }
-  }
-};
-const EnvInit g_env_init;
-
 }  // namespace
-
-void set_jobtrace_enabled(bool on) {
-  detail::g_jobtrace_enabled.store(on, std::memory_order_relaxed);
-}
 
 JobTraceRegistry& JobTraceRegistry::instance() {
   // Leaked: exporters may run from atexit after other statics are gone.
@@ -72,7 +37,7 @@ JobSpan* JobTraceRegistry::find_locked(std::uint64_t gid,
 }
 
 TraceContext JobTraceRegistry::root(std::uint64_t gid, const char* name) {
-  if (gid == 0 || !jobtrace_enabled()) return {};
+  if (gid == 0 || !enabled()) return {};
   const lockcheck::CheckedLock lock(mutex_);
   Timeline& t = jobs_[gid];
   if (t.spans.empty()) {
@@ -89,7 +54,7 @@ TraceContext JobTraceRegistry::root(std::uint64_t gid, const char* name) {
 TraceContext JobTraceRegistry::restore_root(std::uint64_t gid,
                                             std::uint64_t root_id,
                                             const char* name) {
-  if (gid == 0 || !jobtrace_enabled()) return {};
+  if (gid == 0 || !enabled()) return {};
   if (root_id == 0) root_id = 1;
   const lockcheck::CheckedLock lock(mutex_);
   Timeline& t = jobs_[gid];
@@ -136,7 +101,7 @@ std::uint64_t JobTraceRegistry::begin(const TraceContext& parent,
 }
 
 void JobTraceRegistry::end(std::uint64_t gid, std::uint64_t span) {
-  if (gid == 0 || span == 0 || !jobtrace_enabled()) return;
+  if (gid == 0 || span == 0 || !enabled()) return;
   const lockcheck::CheckedLock lock(mutex_);
   if (JobSpan* s = find_locked(gid, span); s != nullptr && s->end_ns == 0) {
     s->end_ns = now_ns();
@@ -158,7 +123,7 @@ std::uint64_t JobTraceRegistry::event(const TraceContext& parent,
 
 void JobTraceRegistry::attr(std::uint64_t gid, std::uint64_t span,
                             const char* key, double value) {
-  if (gid == 0 || span == 0 || !jobtrace_enabled()) return;
+  if (gid == 0 || span == 0 || !enabled()) return;
   const lockcheck::CheckedLock lock(mutex_);
   if (JobSpan* s = find_locked(gid, span); s != nullptr) {
     s->attrs.push_back(Attr{key, true, value, {}});
@@ -167,7 +132,7 @@ void JobTraceRegistry::attr(std::uint64_t gid, std::uint64_t span,
 
 void JobTraceRegistry::attr(std::uint64_t gid, std::uint64_t span,
                             const char* key, const std::string& value) {
-  if (gid == 0 || span == 0 || !jobtrace_enabled()) return;
+  if (gid == 0 || span == 0 || !enabled()) return;
   const lockcheck::CheckedLock lock(mutex_);
   if (JobSpan* s = find_locked(gid, span); s != nullptr) {
     s->attrs.push_back(Attr{key, false, 0.0, value});
@@ -175,7 +140,7 @@ void JobTraceRegistry::attr(std::uint64_t gid, std::uint64_t span,
 }
 
 void JobTraceRegistry::drop_job(std::uint64_t gid) {
-  if (gid == 0 || !jobtrace_enabled()) return;
+  if (gid == 0 || !enabled()) return;
   const lockcheck::CheckedLock lock(mutex_);
   jobs_.erase(gid);
 }
@@ -250,6 +215,35 @@ void JobTraceRegistry::reset_for_testing() {
 
 bool write_jobtrace_file(const std::string& path) {
   return write_text_file(path, JobTraceRegistry::instance().export_json());
+}
+
+ScopedJobSpan::ScopedJobSpan(const TraceContext& parent, const char* name,
+                             int shard)
+    : parent_(parent),
+      id_(JobTraceRegistry::instance().begin(parent, name, shard)),
+      open_(id_ != 0),
+      uncaught_(std::uncaught_exceptions()) {}
+
+ScopedJobSpan::~ScopedJobSpan() {
+  if (std::uncaught_exceptions() <= uncaught_) end();
+}
+
+void ScopedJobSpan::attr(const char* key, double value) {
+  JobTraceRegistry::instance().attr(parent_.gid, id_, key, value);
+}
+
+void ScopedJobSpan::attr(const char* key, const std::string& value) {
+  JobTraceRegistry::instance().attr(parent_.gid, id_, key, value);
+}
+
+void ScopedJobSpan::end() {
+  if (!open_) return;
+  open_ = false;
+  JobTraceRegistry::instance().end(parent_.gid, id_);
+}
+
+TraceContext ScopedJobSpan::context() const {
+  return id_ != 0 ? TraceContext{parent_.gid, id_} : parent_;
 }
 
 }  // namespace swraman::obs

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -31,24 +30,19 @@
 //     (bumped once per WAL replay), so a stitched timeline shows both
 //     sides of a kill.
 //
-// Disabled cost: every entry point gates on one relaxed atomic load
-// (jobtrace_enabled), mirroring the span tracer. Enable programmatically
-// (set_jobtrace_enabled) or with SWRAMAN_JOBTRACE=1, which also registers
-// an atexit export to SWRAMAN_JOBTRACE_FILE (default
-// "swraman_jobtrace.json").
+// One switch, one exit report: the job timeline is a view of the span
+// tracer. Every entry point gates on obs::enabled() (one relaxed load,
+// nothing recorded while off), and the SWRAMAN_TRACE=1 exit hook
+// (obs::write_env_reports) writes the swraman-jobtrace-v1 export to
+// SWRAMAN_JOBTRACE_FILE (default "swraman_jobtrace.json") whenever at
+// least one job was traced.
+//
+// Spans are opened through ScopedJobSpan, which closes the span on every
+// scope exit except an exception unwind: a span cut down by a
+// FaultInjected kill stays open as the shard-death footprint above. A
+// call site that records a failure and rethrows calls end() first.
 
 namespace swraman::obs {
-
-namespace detail {
-extern std::atomic<bool> g_jobtrace_enabled;
-}  // namespace detail
-
-// Hot-path gate: one relaxed load.
-inline bool jobtrace_enabled() {
-  return detail::g_jobtrace_enabled.load(std::memory_order_relaxed);
-}
-
-void set_jobtrace_enabled(bool on);
 
 // The propagated unit: which job, and which span new work nests under.
 // gid 0 means "no context" (untraced submission); all registry calls on
@@ -57,7 +51,7 @@ struct TraceContext {
   std::uint64_t gid = 0;
   std::uint64_t parent_span = 0;
   [[nodiscard]] bool active() const {
-    return gid != 0 && jobtrace_enabled();
+    return gid != 0 && enabled();
   }
 };
 
@@ -138,5 +132,32 @@ class JobTraceRegistry {
 
 // Writes export_json() to `path` through obs::write_text_file.
 bool write_jobtrace_file(const std::string& path);
+
+// RAII job span under `parent` (inert when the parent is inactive). The
+// destructor closes it unless an exception that began after construction
+// is unwinding through it.
+class ScopedJobSpan {
+ public:
+  ScopedJobSpan(const TraceContext& parent, const char* name, int shard = -1);
+  ~ScopedJobSpan();
+  ScopedJobSpan(const ScopedJobSpan&) = delete;
+  ScopedJobSpan& operator=(const ScopedJobSpan&) = delete;
+
+  void attr(const char* key, double value);
+  void attr(const char* key, const std::string& value);
+
+  // Closes the span now; later calls (and the destructor) are no-ops.
+  void end();
+
+  // Context for work nested under this span: {gid, this span} when the
+  // span is recording, the parent unchanged otherwise.
+  [[nodiscard]] TraceContext context() const;
+
+ private:
+  TraceContext parent_;
+  std::uint64_t id_ = 0;  // 0: inactive
+  bool open_ = false;
+  int uncaught_ = 0;  // std::uncaught_exceptions() at construction
+};
 
 }  // namespace swraman::obs

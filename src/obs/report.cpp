@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/logging.hpp"
+#include "obs/jobtrace.hpp"
 #include "obs/metrics.hpp"
 
 namespace swraman::obs {
@@ -314,6 +315,15 @@ void write_env_reports() {
           perf_path,
           perf_report_json(spans, 1e-9 * static_cast<double>(now_ns())))) {
     log::info("obs: wrote perf report to ", perf_path);
+  }
+  // Job timelines ride the same switch; a run that traced no job (a
+  // serial CLI run, say) writes no empty timeline file.
+  const std::size_t n_jobs = JobTraceRegistry::instance().n_jobs();
+  const std::string jobtrace_path =
+      path_from_env("SWRAMAN_JOBTRACE_FILE", "swraman_jobtrace.json");
+  if (n_jobs != 0 && !jobtrace_path.empty() &&
+      write_jobtrace_file(jobtrace_path)) {
+    log::info("obs: wrote jobtrace (", n_jobs, " jobs) to ", jobtrace_path);
   }
   if (!spans.empty()) log_phase_tree();
 }

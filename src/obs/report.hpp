@@ -20,8 +20,10 @@
 //
 // With SWRAMAN_TRACE=1 in the environment the reports are written at
 // process exit to SWRAMAN_TRACE_FILE (default "swraman_trace.json") and
-// SWRAMAN_PERF_FILE (default "swraman_perf.json"); set either to "" to
-// skip that file.
+// SWRAMAN_PERF_FILE (default "swraman_perf.json"), together with the
+// serve tier's job timelines (jobtrace.hpp, "swraman-jobtrace-v1") to
+// SWRAMAN_JOBTRACE_FILE (default "swraman_jobtrace.json") when at least
+// one job was traced; set any of the three to "" to skip that file.
 
 namespace swraman::obs {
 
@@ -65,9 +67,10 @@ std::string attrs_json(const std::vector<Attr>& attrs);
 // Writes `content` to `path`; false (with a log::warn) on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);
 
-// Writes the Chrome trace and perf report to the env-configured paths.
-// Registered with atexit when SWRAMAN_TRACE enables tracing; also callable
-// directly by drivers that want reports mid-run.
+// Writes the Chrome trace, the perf report and (when any job was traced)
+// the job timelines to the env-configured paths. Registered with atexit
+// when SWRAMAN_TRACE enables tracing; also callable directly by binaries
+// that want reports mid-run.
 void write_env_reports();
 
 }  // namespace swraman::obs

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/env.hpp"
 #include "common/lockcheck.hpp"
 #include "common/logging.hpp"
 #include "obs/flight.hpp"
@@ -71,13 +72,8 @@ SpanRecord make_record(Tls& t, const char* name, bool is_instant) {
 
 // Reads SWRAMAN_TRACE at static-initialization time so any binary —
 // bench, example, test — can be traced without touching its main(); the
-// registered exit hook writes the configured reports.
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
+// registered exit hook writes the configured reports (job timelines
+// included, see report.hpp).
 struct EnvInit {
   EnvInit() {
     state();  // force construction before any atexit callback may run

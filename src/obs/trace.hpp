@@ -22,8 +22,11 @@
 // relaxed atomic load and no allocation, so instrumented hot paths cost a
 // predicted branch. Enable programmatically (obs::set_enabled) or through
 // the environment: SWRAMAN_TRACE=1 turns tracing on at process start and
-// registers an exit hook that writes the Chrome trace and the perf report
-// (see report.hpp for SWRAMAN_TRACE_FILE / SWRAMAN_PERF_FILE).
+// registers an exit hook that writes the Chrome trace, the perf report
+// and, when the serve tier traced any job, the job timelines (see
+// report.hpp for SWRAMAN_TRACE_FILE / SWRAMAN_PERF_FILE /
+// SWRAMAN_JOBTRACE_FILE). The same switch gates the per-job timeline
+// registry (jobtrace.hpp).
 
 namespace swraman::obs {
 

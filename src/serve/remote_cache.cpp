@@ -105,17 +105,14 @@ bool RemoteCacheFabric::lookup(std::size_t shard, std::size_t peer,
                   "RemoteCacheFabric: shard out of range");
   SWRAMAN_REQUIRE(peer != shard, "RemoteCacheFabric: lookup on self");
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  auto& jt = obs::JobTraceRegistry::instance();
-  const std::uint64_t lspan =
-      jt.begin(ctx, "remote.lookup", static_cast<int>(shard));
-  jt.attr(ctx.gid, lspan, "peer", static_cast<double>(peer));
+  obs::ScopedJobSpan lspan(ctx, "remote.lookup", static_cast<int>(shard));
+  lspan.attr("peer", static_cast<double>(peer));
   if (fault::should_fire(kFaultRemoteTimeout)) {
     timeouts_.fetch_add(1, std::memory_order_relaxed);
     obs::count("serve.cache.remote_timeouts");
     log::warn("fault ", kFaultRemoteTimeout, ": shard ", shard, " -> ",
               peer, " lookup dropped, falling back to local compute");
-    jt.attr(ctx.gid, lspan, "timeout", 1.0);
-    jt.end(ctx.gid, lspan);
+    lspan.attr("timeout", 1.0);
     return false;
   }
   const int resp_tag = next_resp_tag_.fetch_add(1, std::memory_order_relaxed);
@@ -132,7 +129,7 @@ bool RemoteCacheFabric::lookup(std::size_t shard, std::size_t peer,
   comms_[shard].send(peer,
                      {key_bits(key), static_cast<double>(resp_tag),
                       key_bits(ctx.gid),
-                      key_bits(lspan != 0 ? lspan : ctx.parent_span),
+                      key_bits(lspan.context().parent_span),
                       static_cast<double>(n_forces)},
                      kRequestTag);
   std::vector<double> resp;
@@ -147,14 +144,12 @@ bool RemoteCacheFabric::lookup(std::size_t shard, std::size_t peer,
     const std::uint64_t check_ctx = comms_[shard].context_id();
     parallel::commcheck::abandon(check_ctx, shard, peer, kRequestTag);
     parallel::commcheck::abandon(check_ctx, peer, shard, resp_tag);
-    jt.attr(ctx.gid, lspan, "timeout", 1.0);
-    jt.end(ctx.gid, lspan);
+    lspan.attr("timeout", 1.0);
     return false;
   }
   if (resp.size() != resp_len || resp[0] == 0.0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    jt.attr(ctx.gid, lspan, "hit", 0.0);
-    jt.end(ctx.gid, lspan);
+    lspan.attr("hit", 0.0);
     return false;
   }
   for (std::size_t i = 0; i < 9; ++i) out->alpha[i] = resp[1 + i];
@@ -162,8 +157,7 @@ bool RemoteCacheFabric::lookup(std::size_t shard, std::size_t peer,
   out->forces.assign(resp.begin() + static_cast<std::ptrdiff_t>(kResponseLen),
                      resp.end());
   hits_.fetch_add(1, std::memory_order_relaxed);
-  jt.attr(ctx.gid, lspan, "hit", 1.0);
-  jt.end(ctx.gid, lspan);
+  lspan.attr("hit", 1.0);
   return true;
 }
 

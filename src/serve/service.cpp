@@ -115,14 +115,10 @@ SubmitResult RamanService::submit(const JobSpec& spec,
   // Cross-shard timeline: the submission nests under the router's
   // route/replay span carried in by sub.trace (no-op outside the sharded
   // tier, where the context is inactive).
-  auto& jt = obs::JobTraceRegistry::instance();
-  const std::uint64_t submit_span =
-      jt.begin(sub.trace, "submit", options_.shard_id);
-  jt.attr(sub.trace.gid, submit_span, "tenant", spec.client);
-  jt.attr(sub.trace.gid, submit_span, "tier",
-          std::string(tier_name(spec.tier)));
-  jt.attr(sub.trace.gid, submit_span, "tasks",
-          static_cast<double>(est.n_tasks));
+  obs::ScopedJobSpan submit_span(sub.trace, "submit", options_.shard_id);
+  submit_span.attr("tenant", spec.client);
+  submit_span.attr("tier", std::string(tier_name(spec.tier)));
+  submit_span.attr("tasks", static_cast<double>(est.n_tasks));
 
   // One submission at a time, end to end: admission order, cache
   // ownership and job ids stay deterministic even though the service
@@ -154,8 +150,7 @@ SubmitResult RamanService::submit(const JobSpec& spec,
       if (options_.backpressure) {
         res.retry_after_s *= 1.0 + options_.backpressure();
       }
-      jt.attr(sub.trace.gid, submit_span, "rejected", decision.reason);
-      jt.end(sub.trace.gid, submit_span);
+      submit_span.attr("rejected", decision.reason);
       log::warn("serve: rejected job '", spec.name, "' of tenant '",
                 spec.client, "' (", decision.reason, "), retry after ",
                 res.retry_after_s, " s");
@@ -254,8 +249,8 @@ SubmitResult RamanService::submit(const JobSpec& spec,
       const lockcheck::CheckedLock lock(mutex_);
       scheduler_.release(est);
     }
-    jt.attr(sub.trace.gid, submit_span, "aborted", "wal");
-    jt.end(sub.trace.gid, submit_span);
+    submit_span.attr("aborted", "wal");
+    submit_span.end();  // a rethrow would leave it open
     throw;
   }
 
@@ -273,9 +268,8 @@ SubmitResult RamanService::submit(const JobSpec& spec,
     job.id = id;
     job.tag = sub.tag;
     // Task spans of this job nest under its submit span (falling back to
-    // the caller's parent when jobtrace was toggled mid-flight).
-    job.trace = sub.trace;
-    if (submit_span != 0) job.trace.parent_span = submit_span;
+    // the caller's parent when tracing was toggled mid-flight).
+    job.trace = submit_span.context();
     job.spec = spec;
     job.est = est;
     job.settings_fp = settings_fp;
@@ -362,25 +356,19 @@ SubmitResult RamanService::submit(const JobSpec& spec,
     }
     pool_->notify();
 
-    if (submit_span != 0) {
-      if (n_warm != 0) {
-        jt.attr(job.trace.gid, submit_span, "warm_hits",
-                static_cast<double>(n_warm));
-      }
-      if (n_ckpt != 0) {
-        jt.attr(job.trace.gid, submit_span, "checkpoint_hits",
-                static_cast<double>(n_ckpt));
-      }
-      if (n_dedup_hits + n_dedup_waits != 0) {
-        const std::uint64_t ev =
-            jt.event(job.trace, "dedup", options_.shard_id);
-        jt.attr(job.trace.gid, ev, "hits",
-                static_cast<double>(n_dedup_hits));
-        jt.attr(job.trace.gid, ev, "waits",
-                static_cast<double>(n_dedup_waits));
-      }
-      jt.end(job.trace.gid, submit_span);
+    if (n_warm != 0) {
+      submit_span.attr("warm_hits", static_cast<double>(n_warm));
     }
+    if (n_ckpt != 0) {
+      submit_span.attr("checkpoint_hits", static_cast<double>(n_ckpt));
+    }
+    if (n_dedup_hits + n_dedup_waits != 0) {
+      auto& jt = obs::JobTraceRegistry::instance();
+      const std::uint64_t ev = jt.event(job.trace, "dedup", options_.shard_id);
+      jt.attr(job.trace.gid, ev, "hits", static_cast<double>(n_dedup_hits));
+      jt.attr(job.trace.gid, ev, "waits", static_cast<double>(n_dedup_waits));
+    }
+    submit_span.end();
     update_health_gauges_locked();
 
     res.accepted = true;
@@ -648,15 +636,13 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
     return c;
   };
 
-  // The job timeline's evaluation span. Deliberately left open on the
-  // FaultInjected propagation path: an open span in the stitched timeline
-  // is the footprint of work cut down by a shard death.
-  auto& jt = obs::JobTraceRegistry::instance();
-  const std::uint64_t dspan = jt.begin(
-      job.trace, field_force ? "field-force" : "displacement",
-      options_.shard_id);
-  jt.attr(job.trace.gid, dspan, "coord", static_cast<double>(node.coord));
-  jt.attr(job.trace.gid, dspan, "sign", static_cast<double>(node.sign));
+  // The job timeline's evaluation span (left open when a FaultInjected
+  // kill unwinds through here).
+  obs::ScopedJobSpan dspan(job.trace,
+                           field_force ? "field-force" : "displacement",
+                           options_.shard_id);
+  dspan.attr("coord", static_cast<double>(node.coord));
+  dspan.attr("sign", static_cast<double>(node.sign));
 
   // Cross-shard cache first (off-lock, bounded latency): a peer shard may
   // already own this canonical key. The hit arrives in the canonical
@@ -667,10 +653,8 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
   bool remote_hit = false;
   if (options_.hooks.remote_lookup) {
     raman::GeometryRecord canonical;
-    obs::TraceContext lookup_ctx = job.trace;
-    if (dspan != 0) lookup_ctx.parent_span = dspan;
     if (options_.hooks.remote_lookup(job.keys[node_id].key, &canonical,
-                                     lookup_ctx, ctx.n_forces)) {
+                                     dspan.context(), ctx.n_forces)) {
       const AxisTransform from =
           inverse(job.keys[node_id].to_canonical);
       rec.alpha = apply_tensor(from, canonical.alpha);
@@ -680,13 +664,12 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
       }
       remote_hit = true;
       obs::count("serve.cache.remote_hits");
-      jt.attr(job.trace.gid, dspan, "remote_hit", 1.0);
+      dspan.attr("remote_hit", 1.0);
     }
   }
   if (!remote_hit) {
     if (!evaluate_with_retry(job, ctx, &rec)) {
-      jt.attr(job.trace.gid, dspan, "failed", 1.0);
-      jt.end(job.trace.gid, dspan);
+      dspan.attr("failed", 1.0);
       return;
     }
     obs::observe("serve.task.seconds", now_seconds() - t0);
@@ -708,7 +691,7 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
   if (options_.hooks.on_task_durable) {
     options_.hooks.on_task_durable(job.tag, node.coord, node.sign, rec);
   }
-  jt.end(job.trace.gid, dspan);
+  dspan.end();
 
   const lockcheck::CheckedLock lock(mutex_);
   if (job.status != JobStatus::Running) {
@@ -761,6 +744,7 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
       defer_durable_locked(wjob.tag, wnode.coord, wnode.sign,
                            waiter_records[i], wjob.checkpoint.get());
       // The waiter's timeline shows where its deduped result came from.
+      auto& jt = obs::JobTraceRegistry::instance();
       const std::uint64_t rel =
           jt.event(wjob.trace, "dedup.release", options_.shard_id);
       jt.attr(wjob.trace.gid, rel, "owner_gid",
@@ -773,9 +757,7 @@ void RamanService::run_evaluation(std::size_t worker, JobState& job,
 
 void RamanService::run_hessian(std::size_t worker, JobState& job,
                                std::size_t node_id) {
-  auto& jt = obs::JobTraceRegistry::instance();
-  const std::uint64_t hspan =
-      jt.begin(job.trace, "hessian", options_.shard_id);
+  obs::ScopedJobSpan hspan(job.trace, "hessian", options_.shard_id);
   linalg::Matrix hess;
   try {
     if (fault::should_fire(kFaultTaskFail)) {
@@ -784,15 +766,15 @@ void RamanService::run_hessian(std::size_t worker, JobState& job,
     SWRAMAN_TRACE_SCOPE("serve.hessian");
     hess = raman::energy_hessian(job.spec.atoms, job.spec.options.vibrations);
   } catch (const FaultInjected&) {
-    throw;  // span stays open: the kill's footprint on the timeline
+    throw;  // a kill is not a task failure: propagate it
   } catch (const Error& e) {
-    jt.attr(job.trace.gid, hspan, "failed", 1.0);
-    jt.end(job.trace.gid, hspan);
+    hspan.attr("failed", 1.0);
+    hspan.end();
     const lockcheck::CheckedLock lock(mutex_);
     fail_job_locked(job.id, e.what());
     return;
   }
-  jt.end(job.trace.gid, hspan);
+  hspan.end();
   const lockcheck::CheckedLock lock(mutex_);
   if (job.status != JobStatus::Running) return;
   ++tallies_.tasks_executed;
@@ -818,9 +800,13 @@ void RamanService::run_row(std::size_t worker, JobState& job,
 
 void RamanService::run_assemble(std::size_t worker, JobState& job,
                                 std::size_t node_id) {
-  auto& jt = obs::JobTraceRegistry::instance();
-  const std::uint64_t aspan =
-      jt.begin(job.trace, "assemble", options_.shard_id);
+  obs::ScopedJobSpan aspan(job.trace, "assemble", options_.shard_id);
+  const auto fail = [&](const Error& e) {
+    aspan.attr("failed", 1.0);
+    aspan.end();
+    const lockcheck::CheckedLock lock(mutex_);
+    fail_job_locked(job.id, e.what());
+  };
   // Spectrum assembly happens outside the lock on copies: the inputs are
   // frozen (every dependency is done) and potentially expensive to
   // contract for large molecules.
@@ -845,10 +831,7 @@ void RamanService::run_assemble(std::size_t worker, JobState& job,
                              job.dag.n_coords(), /*enforce_sum_rule=*/true,
                              &dalpha, &dmu);
     } catch (const Error& e) {
-      jt.attr(job.trace.gid, aspan, "failed", 1.0);
-      jt.end(job.trace.gid, aspan);
-      const lockcheck::CheckedLock lock(mutex_);
-      fail_job_locked(job.id, e.what());
+      fail(e);
       return;
     }
     const lockcheck::CheckedLock lock(mutex_);
@@ -876,14 +859,11 @@ void RamanService::run_assemble(std::size_t worker, JobState& job,
       // 5 cm^-1 Lorentzian on the paper's Fig. 19 plotting grid.
       broadened = raman::broaden(spectrum.modes, 5.0, 100.0, 4500.0, 2.0);
     } catch (const Error& e) {
-      jt.attr(job.trace.gid, aspan, "failed", 1.0);
-      jt.end(job.trace.gid, aspan);
-      const lockcheck::CheckedLock lock(mutex_);
-      fail_job_locked(job.id, e.what());
+      fail(e);
       return;
     }
   }
-  jt.end(job.trace.gid, aspan);
+  aspan.end();
   const lockcheck::CheckedLock lock(mutex_);
   if (job.status != JobStatus::Running) return;
   job.result.spectrum = std::move(spectrum);

@@ -178,9 +178,8 @@ SubmitResult ShardedRamanService::submit(const JobSpec& spec) {
   // starts clean.
   auto& jt = obs::JobTraceRegistry::instance();
   const obs::TraceContext root_ctx = jt.root(next_gid_, "job");
-  const std::uint64_t route_span = jt.begin(root_ctx, "route");
-  obs::TraceContext trace = root_ctx;
-  if (route_span != 0) trace.parent_span = route_span;
+  obs::ScopedJobSpan route_span(root_ctx, "route");
+  const obs::TraceContext trace = route_span.context();
   const std::uint64_t key = ShardRouter::job_key(spec);
   // Injected crash: the routed-to shard dies before the submission
   // reaches it — kill plus failover exercised in one call.
@@ -207,7 +206,6 @@ SubmitResult ShardedRamanService::submit(const JobSpec& spec) {
       // probe, not 0.0 — repeated rejections back clients off.
       res.retry_after_s = router_.retry_after_hint(home);
       if (span.active()) span.attr("rejected", 1.0);
-      jt.end(root_ctx.gid, route_span);
       jt.drop_job(root_ctx.gid);
       return res;
     }
@@ -236,9 +234,9 @@ SubmitResult ShardedRamanService::submit(const JobSpec& spec) {
       }
       res.job_id = gid;
       if (span.active()) span.attr("shard", static_cast<double>(s));
-      jt.attr(gid, route_span, "shard", static_cast<double>(s));
-      if (failed_over) jt.attr(gid, route_span, "failover", 1.0);
-      jt.end(gid, route_span);
+      route_span.attr("shard", static_cast<double>(s));
+      if (failed_over) route_span.attr("failover", 1.0);
+      route_span.end();
       // Best-effort durable pointer from WAL to timeline: replay re-
       // attaches the recovered incarnation's spans to this root.
       if (root_ctx.gid != 0) sh.log->append_trace(gid, 1);
@@ -247,7 +245,6 @@ SubmitResult ShardedRamanService::submit(const JobSpec& spec) {
       // (the key's owner said "later"), the hint already carries its
       // backlog estimate.
       ++rejected_;
-      jt.end(root_ctx.gid, route_span);
       jt.drop_job(root_ctx.gid);
     }
     return res;
@@ -306,24 +303,20 @@ void ShardedRamanService::recover_shard(std::size_t shard) {
       // span bumps the incarnation so both sides of the kill stay visible.
       const obs::TraceContext rctx =
           jt.restore_root(j.gid, j.trace_root, "job");
-      obs::TraceContext trace = rctx;
-      const std::uint64_t replay_span =
-          jt.begin(rctx, "replay", static_cast<int>(shard));
-      jt.attr(j.gid, replay_span, "warm_tasks",
-              static_cast<double>(j.tasks.size()));
-      if (replay_span != 0) trace.parent_span = replay_span;
+      obs::ScopedJobSpan replay_span(rctx, "replay", static_cast<int>(shard));
+      replay_span.attr("warm_tasks", static_cast<double>(j.tasks.size()));
       SubmitOptions sub;
       sub.tag = j.gid;
       sub.warm = &j.tasks;
       sub.force_admit = true;  // acknowledged work is never re-rejected
-      sub.trace = trace;
+      sub.trace = replay_span.context();
       try {
         const SubmitResult res = shards_[shard].service->submit(j.spec, sub);
         SWRAMAN_REQUIRE(res.accepted, "sharded: replay resubmission rejected");
       } catch (const CheckpointError& e) {
         log::warn("sharded: shard ", shard, " WAL wedged during replay (",
                   e.what(), "); retrying with a fresh incarnation");
-        jt.end(j.gid, replay_span);
+        replay_span.end();
         obs::count("serve.shard.replay_wedges");
         // Same teardown order as a kill: joining the workers first lets
         // in-flight resubmissions finish into results_.
@@ -333,7 +326,7 @@ void ShardedRamanService::recover_shard(std::size_t shard) {
         wedged = true;
         break;
       }
-      jt.end(j.gid, replay_span);
+      replay_span.end();
       // Replay-of-replay safety: the fresh incarnation's log carries the
       // trace pointer too.
       if (rctx.gid != 0) shards_[shard].log->append_trace(j.gid, 1);

@@ -1,11 +1,10 @@
 #include "sunway/check/check.hpp"
 
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <mutex>
 #include <sstream>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -35,30 +34,6 @@ Tally& tally() {
 std::atomic<std::int64_t> g_live_tiles{0};
 std::atomic<std::int64_t> g_live_transfers{0};
 
-bool env_truthy(const char* v) {
-  if (v == nullptr || *v == '\0') return false;
-  const std::string s(v);
-  return s != "0" && s != "off" && s != "false" && s != "OFF" && s != "no";
-}
-
-void write_env_summary() {
-  const char* path = std::getenv("SWRAMAN_CHECK_FILE");
-  const std::string json = summary_json();
-  if (path == nullptr || *path == '\0' || std::string(path) == "-") {
-    std::cerr << json << "\n";
-    return;
-  }
-  // Appended, not truncated: SWRAMAN_CHECK_FILE is shared with lockcheck
-  // as a JSON-lines file, one line per checker; both EnvInits truncate
-  // it at static init (idempotent, pre-main) and both exit hooks append.
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    log::error("swcheck: cannot open summary file ", path);
-    return;
-  }
-  out << json << "\n";
-}
-
 // Reads SWRAMAN_CHECK at static-initialization time so any binary —
 // bench, example, test — runs checked without touching its main(); the
 // exit hook writes the machine-readable summary.
@@ -67,11 +42,7 @@ struct EnvInit {
     tally();  // force construction before any atexit callback may run
     if (env_truthy(std::getenv("SWRAMAN_CHECK"))) {
       set_enabled(true);
-      const char* path = std::getenv("SWRAMAN_CHECK_FILE");
-      if (path != nullptr && *path != '\0' && std::string(path) != "-") {
-        const std::ofstream trunc(path, std::ios::trunc);
-      }
-      std::atexit(write_env_summary);
+      write_check_summary_at_exit("swcheck", summary_json);
     }
   }
 };
@@ -145,21 +116,6 @@ std::string summary_json() {
   }
   os << "}}";
   return os.str();
-}
-
-bool write_summary(const std::string& path) {
-  const std::string json = summary_json();
-  if (path.empty() || path == "-") {
-    std::cerr << json << "\n";
-    return true;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    log::error("swcheck: cannot open summary file ", path);
-    return false;
-  }
-  out << json << "\n";
-  return static_cast<bool>(out);
 }
 
 void reset_for_testing() {

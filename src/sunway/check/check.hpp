@@ -73,10 +73,6 @@ void note(const char* rule, const std::string& context);
 // Serializes the current tally as the machine-readable summary JSON.
 [[nodiscard]] std::string summary_json();
 
-// Writes summary_json() to `path` ("-" or empty: stderr). Returns false
-// when the file could not be opened.
-bool write_summary(const std::string& path);
-
 // Clears the tally (tests).
 void reset_for_testing();
 

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/jobtrace.hpp"
+#include "obs/report.hpp"
 
 namespace swraman::obs {
 namespace {
@@ -12,11 +19,11 @@ namespace {
 class JobTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    set_jobtrace_enabled(true);
+    set_enabled(true);
     JobTraceRegistry::instance().reset_for_testing();
   }
   void TearDown() override {
-    set_jobtrace_enabled(false);
+    set_enabled(false);
     JobTraceRegistry::instance().reset_for_testing();
   }
 };
@@ -33,7 +40,7 @@ TEST_F(JobTraceTest, RootIsAlwaysSpanOneAndIdempotent) {
 }
 
 TEST_F(JobTraceTest, DisabledRegistryIsInert) {
-  set_jobtrace_enabled(false);
+  set_enabled(false);
   auto& jt = JobTraceRegistry::instance();
   const TraceContext root = jt.root(5, "job");
   EXPECT_EQ(root.gid, 0u);
@@ -200,6 +207,149 @@ TEST_F(JobTraceTest, ExportJsonCarriesSchemaAndSpans) {
   EXPECT_NE(json.find("\"submit\""), std::string::npos);
   EXPECT_NE(json.find("\"alice\""), std::string::npos);
   EXPECT_NE(json.find("\"incarnations\": 1"), std::string::npos);
+}
+
+TEST_F(JobTraceTest, SpanSwitchAloneRecordsTimelines) {
+  // The span tracer's switch is the only one: turning it on is enough
+  // for the serve tier's job timelines to record.
+  auto& jt = JobTraceRegistry::instance();
+  set_enabled(false);
+  EXPECT_FALSE(jt.root(2, "job").active());
+  set_enabled(true);
+  const TraceContext root = jt.root(2, "job");
+  EXPECT_TRUE(root.active());
+  EXPECT_NE(jt.begin(root, "submit"), 0u);
+  EXPECT_EQ(jt.spans(2).size(), 2u);
+}
+
+// The single span a scope opened under `root`.
+JobSpan only_child(std::uint64_t gid) {
+  const std::vector<JobSpan> spans = JobTraceRegistry::instance().spans(gid);
+  EXPECT_EQ(spans.size(), 2u);
+  return spans.size() == 2 ? spans[1] : JobSpan{};
+}
+
+TEST_F(JobTraceTest, ScopedSpanClosesOnEarlyReturn) {
+  const TraceContext root = JobTraceRegistry::instance().root(1, "job");
+  const auto task = [&root](bool fail) {
+    ScopedJobSpan span(root, "displacement", /*shard=*/0);
+    if (fail) {
+      span.attr("failed", 1.0);
+      return;
+    }
+    span.attr("unreachable", 1.0);
+  };
+  task(true);
+  const JobSpan s = only_child(1);
+  EXPECT_NE(s.end_ns, 0u);
+  EXPECT_EQ(s.shard, 0);
+  ASSERT_EQ(s.attrs.size(), 1u);
+  EXPECT_EQ(s.attrs[0].key, "failed");
+}
+
+TEST_F(JobTraceTest, ScopedSpanStaysOpenOnExceptionUnwind) {
+  const TraceContext root = JobTraceRegistry::instance().root(1, "job");
+  EXPECT_THROW(
+      {
+        ScopedJobSpan span(root, "hessian");
+        throw std::runtime_error("shard killed");
+      },
+      std::runtime_error);
+  EXPECT_EQ(only_child(1).end_ns, 0u);  // the kill's footprint
+}
+
+TEST_F(JobTraceTest, ScopedSpanEndBeforeRethrowCloses) {
+  const TraceContext root = JobTraceRegistry::instance().root(1, "job");
+  EXPECT_THROW(
+      {
+        ScopedJobSpan span(root, "submit");
+        try {
+          throw std::runtime_error("wal wedged");
+        } catch (...) {
+          span.attr("aborted", "wal");
+          span.end();
+          throw;
+        }
+      },
+      std::runtime_error);
+  const JobSpan s = only_child(1);
+  EXPECT_NE(s.end_ns, 0u);
+  ASSERT_EQ(s.attrs.size(), 1u);
+  EXPECT_EQ(s.attrs[0].str, "wal");
+}
+
+TEST_F(JobTraceTest, ScopedSpanOpenedInCatchHandlerCloses) {
+  const TraceContext root = JobTraceRegistry::instance().root(1, "job");
+  try {
+    throw std::runtime_error("handled");
+  } catch (const std::runtime_error&) {
+    // The handled exception is no longer in flight: a normal close.
+    ScopedJobSpan span(root, "replay");
+  }
+  EXPECT_NE(only_child(1).end_ns, 0u);
+}
+
+TEST_F(JobTraceTest, ScopedSpanContextNestsOrPassesParentThrough) {
+  auto& jt = JobTraceRegistry::instance();
+  const TraceContext root = jt.root(1, "job");
+  {
+    ScopedJobSpan span(root, "route");
+    const TraceContext child = span.context();
+    EXPECT_EQ(child.gid, 1u);
+    EXPECT_EQ(child.parent_span, only_child(1).id);
+  }
+  set_enabled(false);
+  const TraceContext parent{1, 1};
+  ScopedJobSpan inactive(parent, "route");
+  EXPECT_EQ(inactive.context().gid, parent.gid);
+  EXPECT_EQ(inactive.context().parent_span, parent.parent_span);
+  inactive.end();  // no-op
+  EXPECT_EQ(jt.spans(1).size(), 2u);
+}
+
+// Sets an environment variable for the scope, restoring the old value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST_F(JobTraceTest, EnvReportsWriteJobtraceOnlyWhenAJobWasTraced) {
+  const std::string path = ::testing::TempDir() + "env_reports_jobtrace.json";
+  std::filesystem::remove(path);
+  const ScopedEnv trace_file("SWRAMAN_TRACE_FILE", "");
+  const ScopedEnv perf_file("SWRAMAN_PERF_FILE", "");
+  const ScopedEnv jobtrace_file("SWRAMAN_JOBTRACE_FILE", path);
+
+  write_env_reports();  // no job traced: no file
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  auto& jt = JobTraceRegistry::instance();
+  jt.end(7, jt.begin(jt.root(7, "job"), "submit"));
+  write_env_reports();
+  ASSERT_TRUE(std::filesystem::exists(path));
+  std::ifstream in(path);
+  std::stringstream body;
+  body << in.rdbuf();
+  EXPECT_NE(body.str().find("\"schema\": \"swraman-jobtrace-v1\""),
+            std::string::npos);
+  EXPECT_NE(body.str().find("\"gid\": 7"), std::string::npos);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ class ObsPlaneTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(true);
-    obs::set_jobtrace_enabled(true);
     obs::flight::set_enabled(true);
     obs::flight::set_dump_dir(::testing::TempDir());
     obs::flight::reset_for_testing();
@@ -49,7 +48,6 @@ class ObsPlaneTest : public ::testing::Test {
   }
   void TearDown() override {
     obs::set_enabled(false);
-    obs::set_jobtrace_enabled(false);
     obs::flight::set_enabled(false);
     obs::flight::reset_for_testing();
     obs::JobTraceRegistry::instance().reset_for_testing();
