@@ -6,8 +6,8 @@
 # violations tolerated), the serve throughput gate (>= 2x over naive
 # FIFO with dedup hits), the serve chaos gate (shard kills + WAL
 # replay, zero lost jobs, bitwise spectra, lockcheck-clean), then
-# instrumented passes — the robustness/fault-injection suite under
-# ASan/UBSan, the obs + parallel + serve suites under TSan (the
+# instrumented passes — the robustness/fault-injection suite and the
+# hartree + grid suites under ASan/UBSan, the obs + parallel + serve suites under TSan (the
 # metrics registry claims lock-free counters and the serve pool claims
 # race-free work stealing; this is where we prove both), and the serve
 # + obs suites under UBSan.
@@ -198,13 +198,19 @@ python3 scripts/check_perf_json.py "${SMOKE_DIR}/flight-serve.shard.kill.json"
 cp "${SMOKE_DIR}/BENCH_chaos.json" BENCH_chaos.json
 
 if [ "${SANITIZER}" != "none" ]; then
-  echo "== tier-1: robustness suite under -fsanitize=${SANITIZER} =="
+  echo "== tier-1: robustness + hartree + grid suites under -fsanitize=${SANITIZER} =="
   cmake -B "build-${SANITIZER}" -S . \
         -DSWRAMAN_SANITIZE="${SANITIZER}" \
         -DSWRAMAN_BUILD_BENCH=OFF -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build "build-${SANITIZER}" -j "${JOBS}" --target \
-        test_robustness
+        test_robustness test_hartree test_grid
   "./build-${SANITIZER}/tests/test_robustness"
+  # The Hartree grid plan indexes flat [point][atom][lm] buffers and a
+  # per-channel scratch sized from lmax (81 channels at lmax 8); only the
+  # instrumented build catches an overrun there, as it would one in the
+  # Y_lm recurrence tables.
+  "./build-${SANITIZER}/tests/test_hartree"
+  "./build-${SANITIZER}/tests/test_grid"
 
   echo "== tier-1: obs + parallel + serve suites under -fsanitize=thread =="
   # Bench stays ON here (only the chaos target is built): the sharded

@@ -81,6 +81,7 @@ void BasisSet::evaluate(const std::vector<std::size_t>& fn_ids,
   }
 
   std::vector<double> ylm;
+  grid::YlmWorkspace ylm_ws;
   for (std::size_t p = 0; p < n_points; ++p) {
     const Vec3& x = points[p];
     for (std::size_t a = 0; a < atoms_.size(); ++a) {
@@ -90,7 +91,7 @@ void BasisSet::evaluate(const std::vector<std::size_t>& fn_ids,
       double r = d.norm();
       // Points essentially on the nucleus: clamp into the mesh.
       r = std::max(r, sp.mesh.r_min());
-      grid::real_ylm(d, lmax, ylm);
+      grid::real_ylm(d, lmax, ylm, ylm_ws);
 
       const double t = sp.mesh.fractional_index(r);
       const double alpha = sp.mesh.alpha();

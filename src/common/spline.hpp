@@ -38,6 +38,7 @@ struct SplineWeights {
   double cb = 0.0;  // b^3 - b
   double hh = 0.0;  // h^2
 
+  SplineWeights() = default;
   SplineWeights(const std::vector<double>& x, double x_eval);
 
   [[nodiscard]] double value(double y0, double y1, double m0,

@@ -56,6 +56,11 @@ DfptEngine::DfptEngine(const scf::ScfEngine& scf,
 }
 
 ResponseResult DfptEngine::solve_response(int axis) {
+  return solve_response(axis, scf_.hartree().make_plan());
+}
+
+ResponseResult DfptEngine::solve_response(int axis,
+                                          const hartree::GridPlan& plan) {
   SWRAMAN_REQUIRE(axis >= 0 && axis < 3, "solve_response: axis in [0,3)");
   SWRAMAN_TRACE_SPAN(span, "dfpt.response");
   obs::count("dfpt.response.solves");
@@ -63,7 +68,8 @@ ResponseResult DfptEngine::solve_response(int axis) {
   const int attempts = std::max(1, options_.recovery_attempts);
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     bool diverged = false;
-    ResponseResult res = solve_response_attempt(axis, attempt, &diverged);
+    ResponseResult res =
+        solve_response_attempt(axis, attempt, plan, &diverged);
     if (!diverged) {
       if (span.active()) {
         span.attr("iterations", static_cast<double>(res.iterations));
@@ -84,8 +90,8 @@ ResponseResult DfptEngine::solve_response(int axis) {
                          std::to_string(attempts) + " recovery attempts");
 }
 
-ResponseResult DfptEngine::solve_response_attempt(int axis, int attempt,
-                                                  bool* diverged) {
+ResponseResult DfptEngine::solve_response_attempt(
+    int axis, int attempt, const hartree::GridPlan& plan, bool* diverged) {
   *diverged = false;
   const double mixing =
       options_.mixing / static_cast<double>(1 << (attempt - 1));
@@ -248,7 +254,7 @@ ResponseResult DfptEngine::solve_response_attempt(int axis, int attempt,
     std::vector<double> v1;
     {
       SWRAMAN_TRACE_SCOPE("dfpt.v1");
-      v1 = scf_.hartree().solve_on_grid(n1);
+      v1 = scf_.hartree().solve_on_grid(n1, plan);
       for (std::size_t p = 0; p < v1.size(); ++p) {
         v1[p] += fxc_[p] * n1[p];
       }
@@ -277,8 +283,9 @@ ResponseResult DfptEngine::solve_response_attempt(int axis, int attempt,
 linalg::Matrix DfptEngine::polarizability() {
   SWRAMAN_TRACE_SCOPE("dfpt.polarizability");
   linalg::Matrix alpha(3, 3);
+  const hartree::GridPlan plan = scf_.hartree().make_plan();
   for (int j = 0; j < 3; ++j) {
-    const ResponseResult res = solve_response(j);
+    const ResponseResult res = solve_response(j, plan);
     if (!res.converged) {
       throw ConvergenceError(
           "polarizability: DFPT did not converge for axis " +

@@ -81,10 +81,15 @@ class DfptEngine {
   [[nodiscard]] const KernelTimes& kernel_times() const { return times_; }
 
  private:
+  // solve_response with the caller's Hartree grid plan (polarizability
+  // holds one across its three axes).
+  ResponseResult solve_response(int axis, const hartree::GridPlan& plan);
+
   // One full response cycle. `attempt` (1-based) halves the linear mixing
   // per retry; the DIIS history is local to the attempt, so a restart
   // flushes it. Sets *diverged when non-finite numbers aborted the cycle.
   ResponseResult solve_response_attempt(int axis, int attempt,
+                                        const hartree::GridPlan& plan,
                                         bool* diverged);
 
   const scf::ScfEngine& scf_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <optional>
 
 #include "common/error.hpp"
 #include "fmm/kernel.hpp"
@@ -50,7 +51,12 @@ HartreeContext::HartreeContext(const grid::MolecularGrid& grid, int lmax,
 HartreeContext::~HartreeContext() = default;
 
 const HartreeContext::Geometry& HartreeContext::geometry() const {
-  if (geo_) return *geo_;
+  std::call_once(geo_once_, [this] { geo_ = build_geometry(); });
+  return *geo_;
+}
+
+std::unique_ptr<const HartreeContext::Geometry>
+HartreeContext::build_geometry() const {
   SWRAMAN_TRACE_SPAN(span, "hartree.fmm.build");
   auto g = std::make_unique<Geometry>(options_.order);
 
@@ -144,8 +150,7 @@ const HartreeContext::Geometry& HartreeContext::geometry() const {
              static_cast<double>(g->m2l_sources.size()));
   obs::count("hartree.fmm.p2p.pairs",
              static_cast<double>(g->p2p_sources.size()));
-  geo_ = std::move(g);
-  return *geo_;
+  return g;
 }
 
 HartreeBackend HartreeContext::resolve_backend() const {
@@ -155,21 +160,39 @@ HartreeBackend HartreeContext::resolve_backend() const {
                                       : HartreeBackend::Direct;
 }
 
+FmmStats HartreeContext::stats() const {
+  FmmStats st;
+  st.resolved = resolve_backend();
+  if (backend_ == HartreeBackend::Direct) return st;
+  const Geometry& g = geometry();
+  st.n_source_cells = g.sources->cells().size();
+  st.n_target_cells = g.targets->cells().size();
+  st.n_m2l_pairs = g.m2l_sources.size();
+  st.n_p2p_pairs = g.p2p_sources.size();
+  st.direct_flops = g.direct_flops;
+  st.fmm_flops = g.fmm_flops;
+  st.max_error_bound = max_error_bound_.load(std::memory_order_relaxed);
+  return st;
+}
+
+hartree::GridPlan HartreeContext::make_plan() const {
+  if (resolve_backend() == HartreeBackend::Direct) return solver_.make_plan();
+  return hartree::GridPlan{};
+}
+
 std::vector<double> HartreeContext::solve_on_grid(
     const std::vector<double>& density) const {
-  const HartreeBackend resolved = resolve_backend();
-  if (resolved == HartreeBackend::Direct) {
-    stats_.resolved = HartreeBackend::Direct;
-    if (backend_ == HartreeBackend::Auto) {
-      const Geometry& g = geometry();
-      stats_.direct_flops = g.direct_flops;
-      stats_.fmm_flops = g.fmm_flops;
-    }
+  return solve_on_grid(density, hartree::GridPlan{});
+}
+
+std::vector<double> HartreeContext::solve_on_grid(
+    const std::vector<double>& density, const hartree::GridPlan& plan) const {
+  if (resolve_backend() == HartreeBackend::Direct) {
     // Verbatim dense path: bitwise identical to the pre-FMM solver.
-    return solver_.solve_on_grid(density);
+    return solver_.solve_on_grid(density, plan);
   }
   SWRAMAN_TRACE_SCOPE("hartree.poisson");
-  const hartree::MultipolePotential pot = solver_.solve(density);
+  const hartree::MultipolePotential pot = solver_.solve(density, &plan);
   return fmm_on_grid(pot);
 }
 
@@ -187,18 +210,10 @@ std::vector<double> HartreeContext::fmm_on_grid(
   SWRAMAN_REQUIRE(n_atoms == grid_.atoms.size(),
                   "fmm_on_grid: potential/grid atom count mismatch");
 
-  stats_ = FmmStats{};
-  stats_.resolved = HartreeBackend::Fmm;
-  stats_.n_source_cells = scells.size();
-  stats_.n_target_cells = tcells.size();
-  stats_.n_m2l_pairs = g.m2l_sources.size();
-  stats_.n_p2p_pairs = g.p2p_sources.size();
-  stats_.direct_flops = g.direct_flops;
-  stats_.fmm_flops = g.fmm_flops;
-
-  if (options_.use_cpe && !cluster_) {
-    cluster_ = std::make_unique<sunway::CpeCluster>(sunway::sw26010pro());
-  }
+  // A cluster model per evaluation: concurrent solves on one context
+  // share no CPE counters.
+  std::optional<sunway::CpeCluster> cluster;
+  if (options_.use_cpe) cluster.emplace(sunway::sw26010pro());
 
   // --- upward: atom moments -> leaf multipoles -> cell multipoles ---
   std::vector<Cplx> multipoles(scells.size() * nm, Cplx{});
@@ -267,14 +282,14 @@ std::vector<double> HartreeContext::fmm_on_grid(
         if (ctx) ctx->dma_put(lbuf, &locals[t * nm], nm);
       }
     };
-    if (cluster_) {
-      const sunway::CpeCounters before = cluster_->total();
-      cluster_->run("fmmM2L", [&](sunway::CpeContext& ctx) {
+    if (cluster) {
+      const sunway::CpeCounters before = cluster->total();
+      cluster->run("fmmM2L", [&](sunway::CpeContext& ctx) {
         const auto [lo, hi] = ctx.my_slice(g.m2l_targets.size());
         m2l_body(&ctx, lo, hi);
       });
       sunway::attach_kernel_span_attrs(
-          span, *cluster_, before,
+          span, *cluster, before,
           static_cast<double>(g.m2l_sources.size()), 0.85);
     } else {
       m2l_body(nullptr, 0, g.m2l_targets.size());
@@ -340,15 +355,15 @@ std::vector<double> HartreeContext::fmm_on_grid(
         if (ctx) ctx->dma_put(vout, &v_sorted[tc.first_body], tc.n_bodies);
       }
     };
-    if (cluster_) {
+    if (cluster) {
       SWRAMAN_TRACE_SPAN(p2p_span, "hartree.fmm.p2p");
-      const sunway::CpeCounters before = cluster_->total();
-      cluster_->run("fmmP2P", [&](sunway::CpeContext& ctx) {
+      const sunway::CpeCounters before = cluster->total();
+      cluster->run("fmmP2P", [&](sunway::CpeContext& ctx) {
         const auto [lo, hi] = ctx.my_slice(g.target_leaves.size());
         p2p_body(&ctx, lo, hi);
       });
       sunway::attach_kernel_span_attrs(
-          p2p_span, *cluster_, before,
+          p2p_span, *cluster, before,
           static_cast<double>(grid_.points.size()), 0.85);
     } else {
       p2p_body(nullptr, 0, g.target_leaves.size());
@@ -389,7 +404,7 @@ std::vector<double> HartreeContext::fmm_on_grid(
       if (ci != 0) cell_bound[ci] += cell_bound[tcells[ci].parent];
       if (tcells[ci].is_leaf()) worst = std::max(worst, cell_bound[ci]);
     }
-    stats_.max_error_bound = worst;
+    max_error_bound_.store(worst, std::memory_order_relaxed);
   }
 
   std::vector<double> v(grid_.points.size());

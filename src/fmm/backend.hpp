@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "grid/atom_grid.hpp"
@@ -24,11 +26,10 @@
 //            price both paths in modeled flops and the cheaper one runs.
 //
 // Trees and interaction lists depend only on the geometry, so they are
-// built once per context and reused by every SCF / DFPT solve.
-
-namespace swraman::sunway {
-class CpeCluster;
-}  // namespace swraman::sunway
+// built once per context (on first use, race-free) and reused by every SCF
+// / DFPT solve. A context is shared const across threads (serve workers
+// use one engine's context concurrently): solving writes no shared state
+// beyond that one-time build and the tracked error bound.
 
 namespace swraman::fmm {
 
@@ -45,7 +46,8 @@ struct FmmOptions {
   bool track_error_bound = false;
 };
 
-// Introspection of the last FMM evaluation / Auto decision.
+// Introspection of a context: its tree geometry, the Auto decision, and
+// the error bound of its latest tracked tree evaluation.
 struct FmmStats {
   std::size_t n_source_cells = 0;
   std::size_t n_target_cells = 0;
@@ -67,10 +69,18 @@ class HartreeContext {
   HartreeContext(const HartreeContext&) = delete;
   HartreeContext& operator=(const HartreeContext&) = delete;
 
+  // The grid plan an iterative loop (SCF, DFPT) holds across its
+  // solve_on_grid calls: the Direct solver's plan, or a plan covering no
+  // points when the tree evaluates.
+  [[nodiscard]] hartree::GridPlan make_plan() const;
+
   // Poisson solve + evaluation on every grid point through the selected
   // backend. Direct delegates to MultipoleSolver::solve_on_grid verbatim.
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
+  [[nodiscard]] std::vector<double> solve_on_grid(
+      const std::vector<double>& density,
+      const hartree::GridPlan& plan) const;
 
   // Tree evaluation of an already-solved potential (bench / test entry;
   // ignores the configured backend).
@@ -83,22 +93,25 @@ class HartreeContext {
   }
   [[nodiscard]] HartreeBackend backend() const { return backend_; }
   [[nodiscard]] const FmmOptions& fmm_options() const { return options_; }
-  // Stats of the most recent solve_on_grid / fmm_on_grid on this context.
-  [[nodiscard]] const FmmStats& stats() const { return stats_; }
+  // The backend this context evaluates with, its geometry-static tree
+  // counts and cost model (not filled under Direct), and the truncation
+  // bound of its most recent tracked tree evaluation.
+  [[nodiscard]] FmmStats stats() const;
 
  private:
   struct Geometry;
-  // Builds trees + interaction lists on first use (geometry-static).
+  // Trees + interaction lists, built once on first use (geometry-static).
   const Geometry& geometry() const;
+  [[nodiscard]] std::unique_ptr<const Geometry> build_geometry() const;
   [[nodiscard]] HartreeBackend resolve_backend() const;
 
   const grid::MolecularGrid& grid_;
   hartree::MultipoleSolver solver_;
   HartreeBackend backend_;
   FmmOptions options_;
-  mutable std::unique_ptr<Geometry> geo_;
-  mutable std::unique_ptr<sunway::CpeCluster> cluster_;
-  mutable FmmStats stats_;
+  mutable std::once_flag geo_once_;
+  mutable std::unique_ptr<const Geometry> geo_;
+  mutable std::atomic<double> max_error_bound_{0.0};
 };
 
 }  // namespace swraman::fmm

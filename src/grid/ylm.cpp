@@ -1,16 +1,68 @@
 #include "grid/ylm.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
 
 namespace swraman::grid {
 
+namespace {
+
+// Recurrence coefficients of the fully normalized associated Legendre
+// functions up to lmax. They depend on (l, m) only, so one immutable table
+// serves every call. Each entry is the expression a per-call recurrence
+// would evaluate, rounded the same way, so results match one bit for bit
+// (Ylm.TableRecurrenceMatchesReferenceBitwise).
+struct LegendreCoefficients {
+  explicit LegendreCoefficients(int lmax)
+      : diag(static_cast<std::size_t>(lmax) + 1),
+        sub(static_cast<std::size_t>(lmax) + 1),
+        a(n_lm(lmax)),
+        b(n_lm(lmax)) {
+    for (int m = 1; m <= lmax; ++m) {
+      diag[static_cast<std::size_t>(m)] =
+          std::sqrt((2.0 * m + 1.0) / (2.0 * m));
+    }
+    for (int m = 0; m < lmax; ++m) {
+      sub[static_cast<std::size_t>(m)] = std::sqrt(2.0 * m + 3.0);
+    }
+    for (int m = 0; m <= lmax; ++m) {
+      for (int l = m + 2; l <= lmax; ++l) {
+        a[lm_index(l, m)] = std::sqrt((4.0 * l * l - 1.0) /
+                                      (static_cast<double>(l) * l - m * m));
+        b[lm_index(l, m)] =
+            std::sqrt((static_cast<double>(l - 1) * (l - 1) - m * m) /
+                      (4.0 * static_cast<double>(l - 1) * (l - 1) - 1.0));
+      }
+    }
+  }
+
+  std::vector<double> diag;  // [m]: Q_mm from Q_(m-1)(m-1)
+  std::vector<double> sub;   // [m]: Q_(m+1)m from Q_mm
+  std::vector<double> a;     // [lm_index(l, m)], l >= m + 2
+  std::vector<double> b;
+};
+
+// Covers every lmax the code base evaluates (basis l, multipole lmax 8);
+// larger requests build a one-off table.
+constexpr int kTableLmax = 16;
+
+const LegendreCoefficients& coefficient_table() {
+  static const LegendreCoefficients table(kTableLmax);
+  return table;
+}
+
+}  // namespace
+
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
               YlmWorkspace& ws) {
   SWRAMAN_REQUIRE(lmax >= 0, "real_ylm: lmax >= 0");
-  out.assign(n_lm(lmax), 0.0);
+  std::optional<LegendreCoefficients> oversized;
+  if (lmax > kTableLmax) oversized.emplace(lmax);
+  const LegendreCoefficients& k = oversized ? *oversized : coefficient_table();
+  out.resize(n_lm(lmax));
 
   const double r = u.norm();
   double c = 1.0;  // cos(theta)
@@ -29,37 +81,36 @@ void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
 
   // Fully normalized associated Legendre Q_l^m (no Condon-Shortley phase):
   //   Y_l0 = Q_l0, Y_l(+-m) = sqrt(2) Q_lm {cos,sin}(m phi).
-  // Recurrences are stable upward in l for fixed m.
+  // Recurrences are stable upward in l for fixed m. Only m <= l entries
+  // are written and read.
   const int nl = lmax + 1;
   std::vector<double>& q = ws.q;
-  q.assign(static_cast<std::size_t>(nl * nl), 0.0);
+  q.resize(static_cast<std::size_t>(nl * nl));
   const auto qi = [nl](int l, int m) {
     return static_cast<std::size_t>(l * nl + m);
   };
 
   q[qi(0, 0)] = std::sqrt(1.0 / kFourPi);
   for (int m = 1; m <= lmax; ++m) {
-    q[qi(m, m)] = std::sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * q[qi(m - 1, m - 1)];
+    q[qi(m, m)] = k.diag[static_cast<std::size_t>(m)] * s * q[qi(m - 1, m - 1)];
   }
   for (int m = 0; m < lmax; ++m) {
-    q[qi(m + 1, m)] = std::sqrt(2.0 * m + 3.0) * c * q[qi(m, m)];
+    q[qi(m + 1, m)] = k.sub[static_cast<std::size_t>(m)] * c * q[qi(m, m)];
   }
   for (int m = 0; m <= lmax; ++m) {
     for (int l = m + 2; l <= lmax; ++l) {
-      const double a =
-          std::sqrt((4.0 * l * l - 1.0) / (static_cast<double>(l) * l - m * m));
-      const double b = std::sqrt(
-          (static_cast<double>(l - 1) * (l - 1) - m * m) /
-          (4.0 * static_cast<double>(l - 1) * (l - 1) - 1.0));
-      q[qi(l, m)] = a * (c * q[qi(l - 1, m)] - b * q[qi(l - 2, m)]);
+      q[qi(l, m)] = k.a[lm_index(l, m)] *
+                    (c * q[qi(l - 1, m)] - k.b[lm_index(l, m)] * q[qi(l - 2, m)]);
     }
   }
 
   // Azimuthal factors cos(m phi), sin(m phi) by the angle-addition recurrence.
   std::vector<double>& cm = ws.cm;
   std::vector<double>& sm = ws.sm;
-  cm.assign(static_cast<std::size_t>(lmax) + 1, 1.0);
-  sm.assign(static_cast<std::size_t>(lmax) + 1, 0.0);
+  cm.resize(static_cast<std::size_t>(lmax) + 1);
+  sm.resize(static_cast<std::size_t>(lmax) + 1);
+  cm[0] = 1.0;
+  sm[0] = 0.0;
   for (int m = 1; m <= lmax; ++m) {
     cm[m] = cm[m - 1] * cphi - sm[m - 1] * sphi;
     sm[m] = sm[m - 1] * cphi + cm[m - 1] * sphi;

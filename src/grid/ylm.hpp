@@ -35,7 +35,9 @@ struct YlmWorkspace {
 
 // Evaluates all real Y_lm for l = 0..lmax at unit direction u into out
 // (resized to n_lm(lmax)). u does not need to be normalized; the zero vector
-// maps to the north pole.
+// maps to the north pole. The Legendre recurrence coefficients come from a
+// process-wide immutable table, so a call costs no sqrt or division per
+// (l, m).
 void real_ylm(const Vec3& u, int lmax, std::vector<double>& out,
               YlmWorkspace& ws);
 

@@ -10,22 +10,26 @@
 
 namespace swraman::hartree {
 
+namespace {
+
+// The distance of a (point, atom) pair, kept off the nucleus, and its
+// spline bracket over the atom's shell radii (left default beyond the
+// outer radius, where the far field applies). Every evaluation path, the
+// plan included, derives a pair's geometry through these two.
+double pair_radius(const Vec3& d) { return std::max(d.norm(), 1e-8); }
+
+SplineWeights pair_bracket(const std::vector<double>& knots, double r) {
+  return r <= knots.back() ? SplineWeights(knots, r) : SplineWeights{};
+}
+
+}  // namespace
+
 MultipoleSolver::MultipoleSolver(const grid::MolecularGrid& grid, int lmax)
     : grid_(grid), lmax_(lmax) {
   SWRAMAN_REQUIRE(lmax >= 0, "MultipoleSolver: lmax >= 0");
   SWRAMAN_REQUIRE(!grid.shells.empty(),
                   "MultipoleSolver: grid lacks shell structure");
   n_lm_ = grid::n_lm(lmax_);
-
-  // Precompute Y_lm(u) for every point relative to its owning atom.
-  ylm_.resize(grid_.size() * n_lm_);
-  std::vector<double> y;
-  for (std::size_t p = 0; p < grid_.size(); ++p) {
-    const int a = grid_.owner_atom[p];
-    const Vec3 u = grid_.points[p] - grid_.atoms[static_cast<std::size_t>(a)].pos;
-    grid::real_ylm(u, lmax_, y);
-    std::copy(y.begin(), y.end(), ylm_.begin() + static_cast<long>(p * n_lm_));
-  }
 
   shells_of_atom_.resize(grid_.atoms.size());
   for (std::size_t s = 0; s < grid_.shells.size(); ++s) {
@@ -38,10 +42,58 @@ MultipoleSolver::MultipoleSolver(const grid::MolecularGrid& grid, int lmax)
   }
 }
 
-MultipolePotential MultipoleSolver::solve(
-    const std::vector<double>& density) const {
+std::vector<double> MultipoleSolver::shell_radii(std::size_t atom) const {
+  std::vector<double> radii;
+  radii.reserve(shells_of_atom_[atom].size());
+  for (std::size_t s : shells_of_atom_[atom]) {
+    radii.push_back(grid_.shells[s].radius);
+  }
+  return radii;
+}
+
+GridPlan MultipoleSolver::make_plan() const {
+  SWRAMAN_TRACE_SPAN(span, "hartree.plan");
+  const std::size_t n_atoms = grid_.atoms.size();
+  const std::size_t point_bytes =
+      n_atoms * (sizeof(GridPlan::Pair) + n_lm_ * sizeof(double));
+  GridPlan plan;
+  plan.solver_ = this;
+  plan.n_points_ =
+      point_bytes == 0 ? grid_.size()
+                       : std::min(grid_.size(), kPlanBudgetBytes / point_bytes);
+  plan.pairs_.resize(plan.n_points_ * n_atoms);
+  plan.ylm_.resize(plan.n_points_ * n_atoms * n_lm_);
+
+  std::vector<std::vector<double>> knots(n_atoms);
+  for (std::size_t a = 0; a < n_atoms; ++a) knots[a] = shell_radii(a);
+  std::vector<double> y;
+  grid::YlmWorkspace ws;
+  for (std::size_t p = 0; p < plan.n_points_; ++p) {
+    for (std::size_t a = 0; a < n_atoms; ++a) {
+      const std::size_t k = p * n_atoms + a;
+      const Vec3 d = grid_.points[p] - grid_.atoms[a].pos;
+      GridPlan::Pair& pair = plan.pairs_[k];
+      pair.r = pair_radius(d);
+      if (!knots[a].empty()) pair.w = pair_bracket(knots[a], pair.r);
+      grid::real_ylm(d, lmax_, y, ws);
+      std::copy(y.begin(), y.end(),
+                plan.ylm_.begin() + static_cast<long>(k * n_lm_));
+    }
+  }
+  if (span.active()) {
+    span.attr("points", static_cast<double>(plan.n_points_));
+    span.attr("bytes", static_cast<double>(plan.n_points_ * point_bytes));
+  }
+  return plan;
+}
+
+MultipolePotential MultipoleSolver::solve(const std::vector<double>& density,
+                                          const GridPlan* plan) const {
   SWRAMAN_REQUIRE(density.size() == grid_.size(),
                   "MultipoleSolver::solve: density size mismatch");
+  const std::size_t n_planned = plan != nullptr ? plan->n_points_ : 0;
+  SWRAMAN_REQUIRE(n_planned == 0 || plan->solver_ == this,
+                  "MultipoleSolver::solve: plan of another solver");
   SWRAMAN_TRACE_SPAN(span, "hartree.multipole");
   const std::size_t n_atoms = grid_.atoms.size();
   if (span.active()) {
@@ -55,6 +107,8 @@ MultipolePotential MultipoleSolver::solve(
   pot.splines_.resize(n_atoms);
   pot.moments_.assign(n_atoms, std::vector<double>(n_lm_, 0.0));
 
+  std::vector<double> y_point;
+  grid::YlmWorkspace ylm_ws;
   for (std::size_t a = 0; a < n_atoms; ++a) {
     pot.centers_[a] = grid_.atoms[a].pos;
     const std::vector<std::size_t>& shells = shells_of_atom_[a];
@@ -62,12 +116,11 @@ MultipolePotential MultipoleSolver::solve(
     const std::size_t ns = shells.size();
 
     // Project the partitioned density onto Y_lm on each shell.
-    std::vector<double> radii(ns);
+    const std::vector<double> radii = shell_radii(a);
     // rho[lm * ns + s]
     std::vector<double> rho(n_lm_ * ns, 0.0);
     for (std::size_t si = 0; si < ns; ++si) {
       const grid::ShellInfo& sh = grid_.shells[shells[si]];
-      radii[si] = sh.radius;
       // A shell's angular rule resolves the Y_l * Y_l product only up to
       // l = order/2; projecting beyond that aliases order-one garbage into
       // the channel (pruned inner shells have low-order rules). Density is
@@ -79,7 +132,18 @@ MultipolePotential MultipoleSolver::solve(
         const double f =
             grid_.angular_weight[p] * grid_.partition[p] * density[p];
         if (f == 0.0) continue;
-        const double* y = &ylm_[p * n_lm_];
+        // Y_lm relative to the point's owner atom: the plan's row when it
+        // covers the point, evaluated here otherwise.
+        const std::size_t owner =
+            static_cast<std::size_t>(grid_.owner_atom[p]);
+        const double* y = nullptr;
+        if (p < n_planned) {
+          y = &plan->ylm_[(p * n_atoms + owner) * n_lm_];
+        } else {
+          grid::real_ylm(grid_.points[p] - grid_.atoms[owner].pos, lmax_,
+                         y_point, ylm_ws);
+          y = y_point.data();
+        }
         for (std::size_t lm = 0; lm < lm_cap; ++lm) {
           rho[lm * ns + si] += f * y[lm];
         }
@@ -151,11 +215,34 @@ MultipolePotential MultipoleSolver::solve(
 
 std::vector<double> MultipoleSolver::solve_on_grid(
     const std::vector<double>& density) const {
+  return solve_on_grid(density, GridPlan{});
+}
+
+std::vector<double> MultipoleSolver::solve_on_grid(
+    const std::vector<double>& density, const GridPlan& plan) const {
   SWRAMAN_TRACE_SCOPE("hartree.poisson");
-  const MultipolePotential pot = solve(density);
+  const MultipolePotential pot = solve(density, &plan);
+  const std::size_t n_atoms = grid_.atoms.size();
   std::vector<double> v(grid_.size());
-  for (std::size_t p = 0; p < grid_.size(); ++p) {
-    v[p] = pot.value(grid_.points[p]);
+  // Planned points: the pair geometry is read, not recomputed; the terms
+  // and the order they are summed in are value()'s.
+  std::vector<double> terms(n_lm_);
+  for (std::size_t p = 0; p < plan.n_points_; ++p) {
+    double vp = 0.0;
+    for (std::size_t a = 0; a < n_atoms; ++a) {
+      const std::size_t k = p * n_atoms + a;
+      const GridPlan::Pair& pair = plan.pairs_[k];
+      if (!pot.pair_terms(a, pair.w, pair.r, &plan.ylm_[k * n_lm_],
+                          terms.data())) {
+        continue;
+      }
+      for (std::size_t lm = 0; lm < n_lm_; ++lm) vp += terms[lm];
+    }
+    v[p] = vp;
+  }
+  MultipolePotential::Workspace ws;
+  for (std::size_t p = plan.n_points_; p < grid_.size(); ++p) {
+    v[p] = pot.value(grid_.points[p], ws);
   }
   return v;
 }
@@ -190,35 +277,46 @@ void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
                                          Workspace& ws, double& v) const {
   const AtomSplines& tab = splines_[atom];
   if (tab.knots.empty()) return;
-  const std::size_t n_lm = grid::n_lm(lmax_);
   const Vec3 d = point - centers_[atom];
-  const double r = std::max(d.norm(), 1e-8);
+  const double r = pair_radius(d);
   grid::real_ylm(d, lmax_, ws.ylm, ws.ylm_scratch);
-  const double* y = ws.ylm.data();
+  ws.terms.resize(ws.ylm.size());
+  pair_terms(atom, pair_bracket(tab.knots, r), r, ws.ylm.data(),
+             ws.terms.data());
+  for (const double t : ws.terms) v += t;
+}
+
+bool MultipolePotential::pair_terms(std::size_t atom, const SplineWeights& w,
+                                    double r, const double* y,
+                                    double* terms) const {
+  const AtomSplines& tab = splines_[atom];
+  if (tab.knots.empty()) return false;
+  const std::size_t n_lm = grid::n_lm(lmax_);
   if (r <= tab.knots.back()) {
-    // One interval lookup ("i_r_log" of Algorithm 2) for every channel.
+    // One interval lookup ("i_r_log" of Algorithm 2) serves every channel.
     // Below the first shell the first interval extrapolates, exactly as
     // CubicSpline::value does.
-    const SplineWeights w(tab.knots, r);
     const double* v0 = &tab.values[w.i * n_lm];
     const double* v1 = v0 + n_lm;
     const double* m0 = &tab.second[w.i * n_lm];
     const double* m1 = m0 + n_lm;
     for (std::size_t lm = 0; lm < n_lm; ++lm) {
-      v += w.value(v0[lm], v1[lm], m0[lm], m1[lm]) * y[lm];
+      terms[lm] = w.value(v0[lm], v1[lm], m0[lm], m1[lm]) * y[lm];
     }
   } else {
     // Analytic multipole far field.
+    const double* q = moments_[atom].data();
     double rpow = r;  // r^{l+1}
     std::size_t lm = 0;
     for (int l = 0; l <= lmax_; ++l) {
       const double pref = kFourPi / (2.0 * l + 1.0) / rpow;
       for (int m = -l; m <= l; ++m, ++lm) {
-        v += pref * moments_[atom][lm] * y[lm];
+        terms[lm] = pref * q[lm] * y[lm];
       }
       rpow *= r;
     }
   }
+  return true;
 }
 
 double MultipolePotential::total_charge() const {

@@ -23,6 +23,18 @@
 // structure-of-arrays [knot][lm] rows (the CSI tables of the paper's
 // Algorithm 2), and the molecular potential is the sum over atoms with
 // analytic multipole far fields.
+//
+// Evaluating the potential back on the grid needs, per (point, atom) pair,
+// Y_lm(point - atom), the pair's spline interval and weights, and r. None
+// of these depend on the density, so an iterative loop on a fixed grid
+// (an SCF solve, a DFPT polarizability) builds one GridPlan holding them
+// and passes it to every solve_on_grid call; like Algorithm 2, only the
+// density-dependent spline rows change between calls. The plan lives only
+// as long as that loop: solvers and their HartreeContexts are shared
+// const across threads (the force evaluator's sibling engines), so they
+// hold no caches. Its memory is capped at kPlanBudgetBytes; points beyond
+// the cap are evaluated by value(). One-shot calls (forces, kernel1,
+// value()) build no plan.
 
 namespace swraman::hartree {
 
@@ -31,12 +43,13 @@ namespace swraman::hartree {
 class MultipolePotential {
  public:
   // Reusable per-thread scratch for point evaluation: the real-Y_lm basis
-  // buffer (and the recurrence tables inside real_ylm) that value() would
-  // otherwise heap-allocate per call. Callers on hot loops (solve_on_grid,
-  // the FMM P2P kernel) hold one per thread.
+  // buffer (and the Legendre scratch inside real_ylm) and the per-channel
+  // terms that value() would otherwise heap-allocate per call. Callers on
+  // hot loops (kernel1, the FMM P2P kernel) hold one per thread.
   struct Workspace {
     std::vector<double> ylm;
     grid::YlmWorkspace ylm_scratch;
+    std::vector<double> terms;
   };
 
   // Potential value at an arbitrary point. Uses a thread-local Workspace;
@@ -88,32 +101,76 @@ class MultipolePotential {
   };
   void accumulate_atom(std::size_t atom, const Vec3& point, Workspace& ws,
                        double& v) const;
+  // The per-pair arithmetic every evaluation path shares: writes atom's
+  // n_lm channel terms at distance r with harmonics y into terms — spline
+  // channels (bracket w) for r inside the outer radius, the analytic far
+  // field beyond it. Callers add the terms to their sum in lm order.
+  // Returns false for an atom without shells (no terms).
+  bool pair_terms(std::size_t atom, const SplineWeights& w, double r,
+                  const double* y, double* terms) const;
   int lmax_ = 0;
   std::vector<Vec3> centers_;
   std::vector<AtomSplines> splines_;          // per atom
   std::vector<std::vector<double>> moments_;  // [atom][lm]
 };
 
+class MultipoleSolver;
+
+// Geometry-static evaluation plan of one MultipoleSolver's grid (see the
+// file comment): for the first n_points() grid points and every atom,
+// Y_lm(point - atom), the pair's SplineWeights over the atom's shell radii,
+// and r. A default-constructed plan covers no points.
+class GridPlan {
+ public:
+  [[nodiscard]] std::size_t n_points() const { return n_points_; }
+
+ private:
+  friend class MultipoleSolver;
+  struct Pair {
+    SplineWeights w;  // set only for r inside the atom's outer radius
+    double r = 0.0;
+  };
+  const MultipoleSolver* solver_ = nullptr;
+  std::size_t n_points_ = 0;
+  std::vector<Pair> pairs_;  // [point][atom]
+  std::vector<double> ylm_;  // [point][atom][lm]
+};
+
 class MultipoleSolver {
  public:
+  // Memory cap of one GridPlan. A plan covers the leading grid points
+  // whose (point, atom) pairs fit; golden water (984 points, 3 atoms,
+  // lmax 6) needs 1.3 MB.
+  static constexpr std::size_t kPlanBudgetBytes = std::size_t{64} << 20;
+
   // The grid must retain its shell structure (grid.shells non-empty).
   MultipoleSolver(const grid::MolecularGrid& grid, int lmax = 6);
 
-  // Solves Poisson for the density given at the grid points.
-  [[nodiscard]] MultipolePotential solve(
-      const std::vector<double>& density) const;
+  // Solves Poisson for the density given at the grid points. The Y_lm
+  // projection reads the owner-atom rows of `plan` for the points it
+  // covers and evaluates the rest on the fly; results are bitwise the same
+  // either way.
+  [[nodiscard]] MultipolePotential solve(const std::vector<double>& density,
+                                         const GridPlan* plan = nullptr) const;
 
-  // Convenience: potential evaluated back on every grid point.
+  // Builds the plan for an iterative loop over this solver's grid.
+  [[nodiscard]] GridPlan make_plan() const;
+
+  // Convenience: potential evaluated back on every grid point. Points the
+  // plan covers read their pairs from it; the rest go through value().
+  // Bitwise equal to value() at every point, with or without a plan.
   [[nodiscard]] std::vector<double> solve_on_grid(
       const std::vector<double>& density) const;
+  [[nodiscard]] std::vector<double> solve_on_grid(
+      const std::vector<double>& density, const GridPlan& plan) const;
 
   [[nodiscard]] int lmax() const { return lmax_; }
 
  private:
+  [[nodiscard]] std::vector<double> shell_radii(std::size_t atom) const;
+
   const grid::MolecularGrid& grid_;
   int lmax_;
-  // Precomputed Y_lm for every grid point (n_points x n_lm, row-major).
-  std::vector<double> ylm_;
   std::size_t n_lm_ = 0;
   // Shells grouped per atom, ascending radius.
   std::vector<std::vector<std::size_t>> shells_of_atom_;

@@ -318,9 +318,12 @@ GroundState ScfEngine::solve(const linalg::Matrix* initial_density) {
   SWRAMAN_TRACE_SPAN(span, "scf.solve");
   obs::count("scf.solves");
   const int attempts = std::max(1, options_.recovery_attempts);
+  // The grid is fixed for the whole solve: one Hartree plan serves every
+  // iteration of every attempt, and is released when the solve returns.
+  const hartree::GridPlan plan = hartree_.make_plan();
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     bool diverged = false;
-    GroundState gs = solve_attempt(initial_density, attempt, &diverged);
+    GroundState gs = solve_attempt(initial_density, attempt, plan, &diverged);
     if (!diverged) {
       if (span.active()) {
         span.attr("attempts", static_cast<double>(attempt));
@@ -342,7 +345,9 @@ GroundState ScfEngine::solve(const linalg::Matrix* initial_density) {
 }
 
 GroundState ScfEngine::solve_attempt(const linalg::Matrix* initial_density,
-                                     int attempt, bool* diverged) {
+                                     int attempt,
+                                     const hartree::GridPlan& plan,
+                                     bool* diverged) {
   *diverged = false;
   // Recovery posture: halve the linear mixing and lengthen the damped
   // warm-up on every retry. The DIIS history is per-attempt state, so a
@@ -409,7 +414,7 @@ GroundState ScfEngine::solve_attempt(const linalg::Matrix* initial_density,
     double e_vxc = 0.0;
     {
       SWRAMAN_TRACE_SCOPE("scf.veff");
-      const std::vector<double> v_h = hartree_.solve_on_grid(n);
+      const std::vector<double> v_h = hartree_.solve_on_grid(n, plan);
       for (std::size_t p = 0; p < grid_.size(); ++p) {
         const xc::XcPoint xcp = xc::evaluate(options_.functional, n[p]);
         v_eff[p] = v_ext_[p] + v_h[p] + xcp.v + v_field[p];

@@ -198,8 +198,10 @@ class ScfEngine {
   // One full SCF cycle. `attempt` (1-based) scales the recovery response:
   // linear mixing is halved and the damped warm-up lengthened per retry.
   // Sets *diverged when non-finite numbers appeared and the cycle aborted.
+  // `plan` is the Hartree grid plan solve() holds across its attempts.
   GroundState solve_attempt(const linalg::Matrix* initial_density,
-                            int attempt, bool* diverged);
+                            int attempt, const hartree::GridPlan& plan,
+                            bool* diverged);
 
   ScfOptions options_;
   grid::MolecularGrid grid_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,6 +157,28 @@ TEST(HartreeBackendDispatch, AutoFollowsTheCostModel) {
                                     ? HartreeBackend::Fmm
                                     : HartreeBackend::Direct;
   EXPECT_EQ(st.resolved, expect);
+}
+
+// A context is shared const by concurrent serve workers: two threads
+// solving on one context at once must each get the single-threaded result
+// bit for bit (and, under TSan, race on nothing — the Auto/Fmm geometry is
+// built by whichever thread gets there first).
+TEST(HartreeBackendDispatch, ConcurrentSolvesOnOneContextAreRaceFree) {
+  for (HartreeBackend backend :
+       {HartreeBackend::Direct, HartreeBackend::Auto, HartreeBackend::Fmm}) {
+    const HartreeContext ctx(cluster_grid(), 6, backend, FmmOptions{});
+    std::vector<double> a;
+    std::vector<double> b;
+    std::thread ta([&] { a = ctx.solve_on_grid(cluster_density()); });
+    std::thread tb([&] {
+      b = ctx.solve_on_grid(cluster_density(), ctx.make_plan());
+    });
+    ta.join();
+    tb.join();
+    const std::vector<double> serial = ctx.solve_on_grid(cluster_density());
+    EXPECT_EQ(a, serial) << static_cast<int>(backend);
+    EXPECT_EQ(b, serial) << static_cast<int>(backend);
+  }
 }
 
 TEST(HartreeBackendDispatch, FmmOrderBelowLmaxIsRejected) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "core/molecules.hpp"
 
 namespace swraman::hartree {
 namespace {
@@ -115,6 +116,78 @@ TEST(Multipole, SolveOnGridMatchesPointwiseEvaluation) {
   const std::vector<double> on_grid = solver.solve_on_grid(n);
   for (std::size_t p = 0; p < g.size(); p += 97) {
     EXPECT_NEAR(on_grid[p], pot.value(g.points[p]), 1e-12);
+  }
+}
+
+// A planned solve_on_grid must be value() at every grid point, bit for bit,
+// whether the plan covers all points, some of them, or none; and the plan
+// must not change the solved moments. Returns the number of (point, atom)
+// pairs in the analytic far field, so callers can pin branch coverage.
+std::size_t expect_planned_matches_value(const grid::MolecularGrid& g,
+                                         int lmax) {
+  std::vector<double> n(g.size(), 0.0);
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    for (const grid::AtomSite& a : g.atoms) {
+      n[p] += static_cast<double>(a.z) *
+              gaussian_density(g.points[p], a.pos, a.z > 1 ? 1.8 : 0.9);
+    }
+  }
+  const MultipoleSolver solver(g, lmax);
+  const GridPlan plan = solver.make_plan();
+  const MultipolePotential pot = solver.solve(n);
+  const MultipolePotential planned_pot = solver.solve(n, &plan);
+  for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+    for (std::size_t lm = 0; lm < grid::n_lm(lmax); ++lm) {
+      EXPECT_EQ(planned_pot.moment(a, lm), pot.moment(a, lm))
+          << "atom " << a << " lm " << lm;
+    }
+  }
+
+  const std::vector<double> planned = solver.solve_on_grid(n, plan);
+  const std::vector<double> unplanned = solver.solve_on_grid(n);
+  std::size_t far_pairs = 0;
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    const double v = pot.value(g.points[p]);
+    EXPECT_EQ(planned[p], v) << "point " << p;
+    EXPECT_EQ(unplanned[p], v) << "point " << p;
+    for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+      if ((g.points[p] - pot.centers()[a]).norm() > pot.outer_radius(a)) {
+        ++far_pairs;
+      }
+    }
+  }
+  return far_pairs;
+}
+
+TEST(Multipole, PlannedSolveOnGridMatchesValueBitwise) {
+  {
+    // Golden water numerics: the plan covers every point.
+    grid::GridSettings s;
+    s.n_radial = 16;
+    s.angular_order = 7;
+    const grid::MolecularGrid g =
+        grid::build_molecular_grid(molecules::water(), s);
+    EXPECT_EQ(MultipoleSolver(g, 6).make_plan().n_points(), g.size());
+    expect_planned_matches_value(g, 6);
+  }
+  {
+    // Two atoms far apart: pairs beyond the outer radius take the far-field
+    // branch through the plan. lmax 8 sizes every buffer to 81 channels.
+    const std::vector<grid::AtomSite> atoms = {{1, {0.0, 0.0, 0.0}},
+                                               {8, {0.0, 0.0, 30.0}}};
+    const grid::MolecularGrid g = make_grid(atoms, grid::GridLevel::Light);
+    EXPECT_EQ(MultipoleSolver(g, 8).make_plan().n_points(), g.size());
+    EXPECT_GT(expect_planned_matches_value(g, 8), 0u);
+  }
+  {
+    // Over the memory budget: the plan covers a leading share of the points
+    // and value() evaluates the rest.
+    const grid::MolecularGrid g = grid::build_molecular_grid(
+        molecules::water_cluster(6), grid::GridSettings{});
+    const std::size_t covered = MultipoleSolver(g, 6).make_plan().n_points();
+    EXPECT_GT(covered, 0u);
+    EXPECT_LT(covered, g.size());
+    expect_planned_matches_value(g, 6);
   }
 }
 
