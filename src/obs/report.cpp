@@ -75,6 +75,11 @@ std::string attrs_json(const std::vector<Attr>& attrs) {
 std::vector<PhaseNode> aggregate_phases(
     const std::vector<SpanRecord>& spans) {
   std::map<std::string, PhaseNode> by_path;
+  // Per path, the wall of spans that ran on their parent's thread: only
+  // that part is inside the parent's own time. A span on an adopted
+  // context overlaps its parent (which waits or works alongside), so
+  // subtracting it could drive the parent's self time negative.
+  std::map<std::string, double> same_thread_wall;
   for (const SpanRecord& s : spans) {
     PhaseNode& node = by_path[s.path];
     if (node.count == 0) {
@@ -86,18 +91,21 @@ std::vector<PhaseNode> aggregate_phases(
     node.first_start_ns = std::min(node.first_start_ns, s.start_ns);
     ++node.count;
     node.wall_s += 1e-9 * static_cast<double>(s.dur_ns);
+    if (!s.cross_thread) {
+      same_thread_wall[s.path] += 1e-9 * static_cast<double>(s.dur_ns);
+    }
     for (const Attr& a : s.attrs) {
       if (a.numeric) node.attr_sums[a.key] += a.num;
     }
   }
 
-  // Self time: wall minus the wall of direct children.
+  // Self time: wall minus the wall of direct children on the same thread.
   for (auto& [path, node] : by_path) node.self_s = node.wall_s;
-  for (auto& [path, node] : by_path) {
+  for (const auto& [path, wall] : same_thread_wall) {
     const std::size_t cut = path.rfind('/');
     if (cut == std::string::npos) continue;
     const auto parent = by_path.find(path.substr(0, cut));
-    if (parent != by_path.end()) parent->second.self_s -= node.wall_s;
+    if (parent != by_path.end()) parent->second.self_s -= wall;
   }
 
   // Depth-first order: children follow their parent, siblings by first

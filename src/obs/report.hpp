@@ -34,7 +34,7 @@ struct PhaseNode {
   std::uint32_t depth = 0;
   std::uint64_t count = 0;     // spans aggregated (instants included)
   double wall_s = 0.0;         // summed duration
-  double self_s = 0.0;         // wall minus direct children's wall
+  double self_s = 0.0;         // wall minus same-thread direct children
   std::uint64_t first_start_ns = 0;  // earliest occurrence (tree ordering)
   std::map<std::string, double> attr_sums;  // numeric attrs, summed
 };

@@ -40,12 +40,13 @@ constexpr std::size_t kMaxSpans = std::size_t{1} << 22;
 
 struct Tls {
   std::uint32_t tid = 0;
-  std::vector<SpanRecord> stack;  // active spans, index == depth
+  SpanContext base;               // adopted root position (AdoptedContext)
+  std::vector<SpanRecord> stack;  // active spans, index == depth - base.depth
 };
 
 Tls& tls() {
   static std::atomic<std::uint32_t> next{0};
-  thread_local Tls t{next.fetch_add(1, std::memory_order_relaxed), {}};
+  thread_local Tls t{next.fetch_add(1, std::memory_order_relaxed), {}, {}};
   return t;
 }
 
@@ -62,8 +63,15 @@ void commit(SpanRecord&& rec) {
 SpanRecord make_record(Tls& t, const char* name, bool is_instant) {
   SpanRecord rec;
   rec.name = name;
-  rec.path = t.stack.empty() ? rec.name : t.stack.back().path + "/" + rec.name;
-  rec.depth = static_cast<std::uint32_t>(t.stack.size());
+  if (!t.stack.empty()) {
+    rec.path = t.stack.back().path + "/" + rec.name;
+  } else if (!t.base.path.empty()) {
+    rec.path = t.base.path + "/" + rec.name;
+    rec.cross_thread = t.base.tid != t.tid;
+  } else {
+    rec.path = rec.name;
+  }
+  rec.depth = t.base.depth + static_cast<std::uint32_t>(t.stack.size());
   rec.tid = t.tid;
   rec.start_ns = now_ns();
   rec.instant = is_instant;
@@ -115,6 +123,20 @@ ScopedSpan::~ScopedSpan() {
   rec.dur_ns = now_ns() - rec.start_ns;
   commit(std::move(rec));
 }
+
+SpanContext current_context() {
+  if (!enabled()) return {};
+  const Tls& t = tls();
+  if (t.stack.empty()) return t.base;
+  return SpanContext{t.stack.back().path,
+                     t.base.depth + static_cast<std::uint32_t>(t.stack.size()),
+                     t.tid};
+}
+
+AdoptedContext::AdoptedContext(SpanContext ctx)
+    : saved_(std::exchange(tls().base, std::move(ctx))) {}
+
+AdoptedContext::~AdoptedContext() { tls().base = std::move(saved_); }
 
 void ScopedSpan::attr(const char* key, double value) {
   if (!active_) return;

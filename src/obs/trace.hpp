@@ -14,9 +14,12 @@
 //
 // Spans nest per thread; every record carries its slash-joined ancestry
 // path ("raman.compute/scf.solve/scf.iter"), a stable thread index, and
-// optional key/value attributes (numbers or strings). Sunway kernel spans
-// attach the cost model's modeled cycles and DMA bytes, so the exported
-// reports attribute both wall time and modeled machine time.
+// optional key/value attributes (numbers or strings). Work handed to other
+// threads keeps its place in the tree: capture current_context() on the
+// spawning thread and hold an AdoptedContext on each worker thread, and
+// the workers' root spans nest under the spawner's open span. Sunway
+// kernel spans attach the cost model's modeled cycles and DMA bytes, so
+// the exported reports attribute both wall time and modeled machine time.
 //
 // Tracing is off by default: a disabled ScopedSpan constructor is a single
 // relaxed atomic load and no allocation, so instrumented hot paths cost a
@@ -56,7 +59,18 @@ struct SpanRecord {
   std::uint32_t tid = 0;       // stable small thread index
   std::uint32_t depth = 0;     // nesting depth at creation
   bool instant = false;        // point event (fault fired, recovery, ...)
+  // The direct parent span is open on another thread (adopted context):
+  // this span's time overlaps its parent's instead of being part of it.
+  bool cross_thread = false;
   std::vector<Attr> attrs;
+};
+
+// A thread's position in the span tree: where a span opened there next
+// would attach. Empty path at the root.
+struct SpanContext {
+  std::string path;        // path of the innermost open span
+  std::uint32_t depth = 0;  // depth a child span would get
+  std::uint32_t tid = 0;    // thread the innermost open span runs on
 };
 
 // Nanoseconds since the process-wide trace epoch (monotonic).
@@ -84,6 +98,26 @@ class ScopedSpan {
  private:
   bool active_ = false;
   std::size_t index_ = 0;  // position in the thread's active-span stack
+};
+
+// The calling thread's current position; the root (empty path) when
+// tracing is off.
+SpanContext current_context();
+
+// RAII: while alive, spans opened at the root of the calling thread nest
+// under `ctx` (typically another thread's current_context()) — their paths
+// extend ctx.path, their depths continue from ctx.depth, and they are
+// marked cross_thread when ctx's span runs on another thread. Restores the
+// thread's previous context on destruction.
+class AdoptedContext {
+ public:
+  explicit AdoptedContext(SpanContext ctx);
+  ~AdoptedContext();
+  AdoptedContext(const AdoptedContext&) = delete;
+  AdoptedContext& operator=(const AdoptedContext&) = delete;
+
+ private:
+  SpanContext saved_;
 };
 
 // Point events at the current nesting position (fault injections, recovery

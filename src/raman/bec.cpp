@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
+#include "parallel/comm.hpp"
 #include "raman/checkpoint.hpp"
 #include "robustness/fault.hpp"
 #include "scf/scf_engine.hpp"
@@ -245,7 +246,8 @@ RamanSpectrum BecCalculator::compute() {
   linalg::Matrix hess;
   {
     SWRAMAN_TRACE_SCOPE("raman.hessian");
-    hess = energy_hessian(atoms_, options_.vibrations);
+    hess = energy_hessian(atoms_, options_.vibrations,
+                          parallel::host_ranks());
   }
   const NormalModes modes =
       normal_modes(atoms_, hess, options_.vibrations.project_rigid_body);

@@ -6,6 +6,7 @@
 #include "common/elements.hpp"
 #include "common/error.hpp"
 #include "obs/obs.hpp"
+#include "parallel/comm.hpp"
 #include "raman/checkpoint.hpp"
 #include "robustness/fault.hpp"
 
@@ -90,7 +91,8 @@ RamanSpectrum RamanCalculator::compute() {
   linalg::Matrix hess;
   {
     SWRAMAN_TRACE_SCOPE("raman.hessian");
-    hess = energy_hessian(atoms_, options_.vibrations);
+    hess = energy_hessian(atoms_, options_.vibrations,
+                          parallel::host_ranks());
   }
   const NormalModes modes = normal_modes(
       atoms_, hess, options_.vibrations.project_rigid_body);

@@ -1,68 +1,107 @@
 #include "raman/vibrations.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/constants.hpp"
 #include "common/elements.hpp"
 #include "common/error.hpp"
 #include "linalg/eigen.hpp"
+#include "obs/trace.hpp"
+#include "parallel/comm.hpp"
 
 namespace swraman::raman {
 
-namespace {
-
-double scf_energy(std::vector<grid::AtomSite> atoms,
-                  const scf::ScfOptions& options,
-                  const linalg::Matrix* restart = nullptr) {
-  scf::ScfEngine engine(std::move(atoms), options);
-  const scf::GroundState gs = engine.solve(restart);
-  SWRAMAN_REQUIRE(gs.converged, "energy_hessian: SCF did not converge");
-  return gs.total_energy;
+scf::GroundState converged_scf(const std::vector<grid::AtomSite>& atoms,
+                               const scf::ScfOptions& options,
+                               const linalg::Matrix* restart) {
+  scf::ScfEngine engine(atoms, options);
+  scf::GroundState gs = engine.solve(restart);
+  if (!gs.converged) throw ConvergenceError("SCF did not converge");
+  return gs;
 }
 
-}  // namespace
+std::vector<double> scf_energies(
+    const std::vector<std::vector<grid::AtomSite>>& geometries,
+    const scf::ScfOptions& options, const linalg::Matrix* restart,
+    std::size_t n_ranks) {
+  SWRAMAN_REQUIRE(n_ranks >= 1, "scf_energies: need at least one rank");
+  const std::size_t n_points = geometries.size();
+  std::vector<double> energies(n_points);
+  const auto solve = [&](std::size_t k) {
+    energies[k] = converged_scf(geometries[k], options, restart).total_energy;
+  };
+  const std::size_t ranks = std::min(n_ranks, n_points);
+  if (ranks <= 1) {
+    for (std::size_t k = 0; k < n_points; ++k) solve(k);
+    return energies;
+  }
+
+  // Points differ in SCF iteration count, so ranks claim them one at a
+  // time instead of taking a fixed share. No collective follows a solve,
+  // so a rank whose point throws leaves no peer blocked in one (its
+  // ConvergenceError would reach that peer as a TimeoutError): it raises
+  // `failed`, and the others stop claiming points.
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  const obs::SpanContext caller = obs::current_context();
+  parallel::run_spmd(ranks, [&](parallel::Communicator&) {
+    const obs::AdoptedContext adopt(caller);
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= n_points) return;
+      try {
+        solve(k);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
+    }
+  });
+  return energies;
+}
 
 linalg::Matrix energy_hessian(const std::vector<grid::AtomSite>& atoms,
-                              const VibrationOptions& options) {
+                              const VibrationOptions& options,
+                              std::size_t n_ranks) {
   const std::size_t n = 3 * atoms.size();
   const double d = options.displacement;
   SWRAMAN_REQUIRE(d > 0.0, "energy_hessian: displacement > 0");
-  linalg::Matrix h(n, n);
 
   // Equilibrium solution; its density matrix seeds every displaced SCF.
-  scf::ScfEngine eq_engine(atoms, options.scf);
-  const scf::GroundState eq = eq_engine.solve();
-  SWRAMAN_REQUIRE(eq.converged, "energy_hessian: SCF did not converge");
+  const scf::GroundState eq = converged_scf(atoms, options.scf);
   const double e0 = eq.total_energy;
-  const linalg::Matrix* restart = &eq.density;
 
-  // Diagonal: E(+d) + E(-d) - 2 E0.
-  std::vector<double> e_plus(n);
-  std::vector<double> e_minus(n);
+  // The displaced points: E(+d), E(-d) per coordinate, then E(++), E(--),
+  // E(+-), E(-+) per pair j < i.
+  std::vector<std::vector<grid::AtomSite>> points;
+  points.reserve(2 * n + 2 * n * (n - 1));
   for (std::size_t i = 0; i < n; ++i) {
-    e_plus[i] =
-        scf_energy(grid::displaced(atoms, i, d), options.scf, restart);
-    e_minus[i] =
-        scf_energy(grid::displaced(atoms, i, -d), options.scf, restart);
-    h(i, i) = (e_plus[i] + e_minus[i] - 2.0 * e0) / (d * d);
+    points.push_back(grid::displaced(atoms, i, d));
+    points.push_back(grid::displaced(atoms, i, -d));
   }
-
-  // Off-diagonal: 4-point formula.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < i; ++j) {
-      const double epp = scf_energy(
-          grid::displaced(grid::displaced(atoms, i, d), j, d), options.scf,
-          restart);
-      const double emm = scf_energy(
-          grid::displaced(grid::displaced(atoms, i, -d), j, -d), options.scf,
-          restart);
-      const double epm = scf_energy(
-          grid::displaced(grid::displaced(atoms, i, d), j, -d), options.scf,
-          restart);
-      const double emp = scf_energy(
-          grid::displaced(grid::displaced(atoms, i, -d), j, d), options.scf,
-          restart);
-      const double v = (epp + emm - epm - emp) / (4.0 * d * d);
+      points.push_back(grid::displaced(grid::displaced(atoms, i, d), j, d));
+      points.push_back(grid::displaced(grid::displaced(atoms, i, -d), j, -d));
+      points.push_back(grid::displaced(grid::displaced(atoms, i, d), j, -d));
+      points.push_back(grid::displaced(grid::displaced(atoms, i, -d), j, d));
+    }
+  }
+  const std::vector<double> e =
+      scf_energies(points, options.scf, &eq.density, n_ranks);
+
+  linalg::Matrix h(n, n);
+  // Diagonal: E(+d) + E(-d) - 2 E0.
+  for (std::size_t i = 0; i < n; ++i) {
+    h(i, i) = (e[2 * i] + e[2 * i + 1] - 2.0 * e0) / (d * d);
+  }
+  // Off-diagonal: 4-point formula.
+  std::size_t k = 2 * n;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j, k += 4) {
+      const double v = (e[k] + e[k + 1] - e[k + 2] - e[k + 3]) / (4.0 * d * d);
       h(i, j) = v;
       h(j, i) = v;
     }

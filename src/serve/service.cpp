@@ -764,7 +764,10 @@ void RamanService::run_hessian(std::size_t worker, JobState& job,
       throw TimeoutError("serve: injected Hessian-task failure");
     }
     SWRAMAN_TRACE_SCOPE("serve.hessian");
-    hess = raman::energy_hessian(job.spec.atoms, job.spec.options.vibrations);
+    // One rank: the pool's workers already fill the cores, and parallel
+    // points inside each task raised serve_burst's peak RSS and wall time.
+    hess = raman::energy_hessian(job.spec.atoms, job.spec.options.vibrations,
+                                 /*n_ranks=*/1);
   } catch (const FaultInjected&) {
     throw;  // a kill is not a task failure: propagate it
   } catch (const Error& e) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -119,6 +121,42 @@ TEST_F(ReportTest, RootsWithoutRecordedParentKeepTheirOrder) {
   EXPECT_EQ(phases[0].path, "relax");
   EXPECT_EQ(phases[1].path, "scf.solve");
   EXPECT_EQ(phases[2].path, "dfpt.response");
+}
+
+TEST_F(ReportTest, ChildrenOnAdoptingThreadsLeaveParentSelfTimeNonNegative) {
+  // Two workers each run a child longer than half the parent's wall, so
+  // subtracting their summed wall would make the parent's self time
+  // negative; only the same-thread child comes off it.
+  {
+    SWRAMAN_TRACE_SPAN(parent, "raman.hessian");
+    { SWRAMAN_TRACE_SCOPE("scf.solve"); }
+    const SpanContext ctx = current_context();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&ctx] {
+        const AdoptedContext adopt(ctx);
+        SWRAMAN_TRACE_SCOPE("scf.solve");
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const std::vector<SpanRecord> spans = snapshot();
+  const std::vector<PhaseNode> phases = aggregate_phases(spans);
+  ASSERT_EQ(phases.size(), 2u);
+  const PhaseNode& parent = phases[0];
+  const PhaseNode& solve = phases[1];
+  EXPECT_EQ(solve.path, "raman.hessian/scf.solve");
+  EXPECT_EQ(solve.count, 3u);
+  EXPECT_GT(solve.wall_s, parent.wall_s);  // workers overlap each other
+  double same_thread = 0.0;
+  for (const SpanRecord& s : spans) {
+    if (s.name == "scf.solve" && !s.cross_thread) {
+      same_thread += 1e-9 * static_cast<double>(s.dur_ns);
+    }
+  }
+  EXPECT_GE(parent.self_s, 0.0);
+  EXPECT_NEAR(parent.self_s, parent.wall_s - same_thread, 1e-12);
 }
 
 }  // namespace

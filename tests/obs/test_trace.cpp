@@ -147,5 +147,79 @@ TEST_F(TraceTest, ThreadsGetDistinctIdsAndIndependentStacks) {
   EXPECT_EQ(std::unique(tids.begin(), tids.end()) - tids.begin(), kThreads);
 }
 
+TEST_F(TraceTest, AdoptedContextNestsWorkerSpansUnderTheCaller) {
+  std::uint32_t caller_tid = 0;
+  {
+    SWRAMAN_TRACE_SPAN(outer, "raman.compute");
+    SWRAMAN_TRACE_SPAN(hessian, "raman.hessian");
+    caller_tid = thread_id();
+    const SpanContext ctx = current_context();
+    EXPECT_EQ(ctx.path, "raman.compute/raman.hessian");
+    EXPECT_EQ(ctx.depth, 2u);
+    EXPECT_EQ(ctx.tid, caller_tid);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&ctx] {
+        const AdoptedContext adopt(ctx);
+        SWRAMAN_TRACE_SPAN(solve, "scf.solve");
+        { SWRAMAN_TRACE_SCOPE("scf.iter"); }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const std::vector<SpanRecord> spans = snapshot();
+  ASSERT_EQ(spans.size(), 6u);
+  int solves = 0;
+  int iters = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.name == "scf.solve") {
+      ++solves;
+      EXPECT_EQ(s.path, "raman.compute/raman.hessian/scf.solve");
+      EXPECT_EQ(s.depth, 2u);
+      EXPECT_NE(s.tid, caller_tid);
+      EXPECT_TRUE(s.cross_thread);
+    } else if (s.name == "scf.iter") {
+      ++iters;
+      EXPECT_EQ(s.path, "raman.compute/raman.hessian/scf.solve/scf.iter");
+      EXPECT_EQ(s.depth, 3u);
+      EXPECT_FALSE(s.cross_thread);  // its parent is on the same thread
+    } else {
+      EXPECT_EQ(s.tid, caller_tid);
+      EXPECT_FALSE(s.cross_thread);
+    }
+  }
+  EXPECT_EQ(solves, 2);
+  EXPECT_EQ(iters, 2);
+}
+
+TEST_F(TraceTest, AdoptedContextIsRestoredOnScopeExit) {
+  SpanContext ctx;
+  {
+    SWRAMAN_TRACE_SPAN(outer, "outer");
+    ctx = current_context();
+  }
+  {
+    const AdoptedContext adopt(ctx);
+    EXPECT_EQ(current_context().path, "outer");
+    { SWRAMAN_TRACE_SCOPE("inside"); }
+  }
+  EXPECT_EQ(current_context().path, "");
+  { SWRAMAN_TRACE_SCOPE("after"); }
+  const std::vector<SpanRecord> spans = snapshot();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[1].path, "outer/inside");
+  EXPECT_FALSE(spans[1].cross_thread);  // adopted on its own thread
+  EXPECT_EQ(spans[2].path, "after");
+  EXPECT_EQ(spans[2].depth, 0u);
+}
+
+TEST_F(TraceTest, DisabledTracingCapturesTheRootContext) {
+  SWRAMAN_TRACE_SPAN(outer, "outer");
+  set_enabled(false);
+  const SpanContext ctx = current_context();
+  EXPECT_TRUE(ctx.path.empty());
+  EXPECT_EQ(ctx.depth, 0u);
+}
+
 }  // namespace
 }  // namespace swraman::obs
