@@ -197,7 +197,7 @@ TierProof run_golden() {
     }
   }
 
-  const linalg::Matrix hess = raman::energy_hessian(atoms, ropt.vibrations);
+  const linalg::Matrix hess = raman::energy_hessian(atoms, ropt.vibrations, 1);
   const raman::NormalModes modes = raman::normal_modes(
       atoms, hess, ropt.vibrations.project_rigid_body);
   const raman::RamanSpectrum spec_bec = raman::assemble_spectrum(

@@ -1,6 +1,7 @@
 #include "hartree/multipole.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/constants.hpp"
@@ -17,6 +18,27 @@ namespace {
 // outer radius, where the far field applies). Every evaluation path, the
 // plan included, derives a pair's geometry through these two.
 double pair_radius(const Vec3& d) { return std::max(d.norm(), 1e-8); }
+
+// Bytes held by the live GridPlans of the process.
+std::atomic<std::size_t> g_plan_bytes{0};
+
+// Takes whole points' worth of bytes, up to `want`, from what is left of
+// the budget; returns the bytes taken.
+std::size_t take_plan_bytes(std::size_t want, std::size_t point_bytes) {
+  std::size_t used = g_plan_bytes.load(std::memory_order_relaxed);
+  for (;;) {
+    const std::size_t free =
+        used < MultipoleSolver::kPlanBudgetBytes
+            ? MultipoleSolver::kPlanBudgetBytes - used
+            : 0;
+    const std::size_t take =
+        std::min(want, free / point_bytes * point_bytes);
+    if (g_plan_bytes.compare_exchange_weak(used, used + take,
+                                           std::memory_order_relaxed)) {
+      return take;
+    }
+  }
+}
 
 SplineWeights pair_bracket(const std::vector<double>& knots, double r) {
   return r <= knots.back() ? SplineWeights(knots, r) : SplineWeights{};
@@ -51,6 +73,11 @@ std::vector<double> MultipoleSolver::shell_radii(std::size_t atom) const {
   return radii;
 }
 
+void GridPlan::BudgetShare::release() noexcept {
+  if (bytes_ != 0) g_plan_bytes.fetch_sub(bytes_, std::memory_order_relaxed);
+  bytes_ = 0;
+}
+
 GridPlan MultipoleSolver::make_plan() const {
   SWRAMAN_TRACE_SPAN(span, "hartree.plan");
   const std::size_t n_atoms = grid_.atoms.size();
@@ -58,9 +85,14 @@ GridPlan MultipoleSolver::make_plan() const {
       n_atoms * (sizeof(GridPlan::Pair) + n_lm_ * sizeof(double));
   GridPlan plan;
   plan.solver_ = this;
-  plan.n_points_ =
-      point_bytes == 0 ? grid_.size()
-                       : std::min(grid_.size(), kPlanBudgetBytes / point_bytes);
+  if (point_bytes == 0) {
+    plan.n_points_ = grid_.size();
+  } else {
+    const std::size_t bytes =
+        take_plan_bytes(grid_.size() * point_bytes, point_bytes);
+    plan.share_ = GridPlan::BudgetShare(bytes);
+    plan.n_points_ = bytes / point_bytes;
+  }
   plan.pairs_.resize(plan.n_points_ * n_atoms);
   plan.ylm_.resize(plan.n_points_ * n_atoms * n_lm_);
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/spline.hpp"
@@ -32,9 +33,12 @@
 // density-dependent spline rows change between calls. The plan lives only
 // as long as that loop: solvers and their HartreeContexts are shared
 // const across threads (the force evaluator's sibling engines), so they
-// hold no caches. Its memory is capped at kPlanBudgetBytes; points beyond
-// the cap are evaluated by value(). One-shot calls (forces, kernel1,
-// value()) build no plan.
+// hold no caches. The plans alive in the process at one time share
+// kPlanBudgetBytes, however many threads build them (SCF ranks, serve
+// workers): a plan takes what is left of the budget when it is built and
+// hands it back when it is destroyed, and points beyond its share are
+// evaluated by value(). One-shot calls (forces, kernel1, value()) build no
+// plan.
 
 namespace swraman::hartree {
 
@@ -119,7 +123,8 @@ class MultipoleSolver;
 // Geometry-static evaluation plan of one MultipoleSolver's grid (see the
 // file comment): for the first n_points() grid points and every atom,
 // Y_lm(point - atom), the pair's SplineWeights over the atom's shell radii,
-// and r. A default-constructed plan covers no points.
+// and r. A default-constructed plan covers no points. Move-only: it holds
+// a share of the process-wide plan budget until it is destroyed.
 class GridPlan {
  public:
   [[nodiscard]] std::size_t n_points() const { return n_points_; }
@@ -130,17 +135,39 @@ class GridPlan {
     SplineWeights w;  // set only for r inside the atom's outer radius
     double r = 0.0;
   };
+  // Bytes of MultipoleSolver::kPlanBudgetBytes this plan holds.
+  class BudgetShare {
+   public:
+    BudgetShare() = default;
+    explicit BudgetShare(std::size_t bytes) : bytes_(bytes) {}
+    BudgetShare(BudgetShare&& other) noexcept
+        : bytes_(std::exchange(other.bytes_, 0)) {}
+    BudgetShare& operator=(BudgetShare&& other) noexcept {
+      if (this != &other) {
+        release();
+        bytes_ = std::exchange(other.bytes_, 0);
+      }
+      return *this;
+    }
+    ~BudgetShare() { release(); }
+
+   private:
+    void release() noexcept;
+    std::size_t bytes_ = 0;
+  };
   const MultipoleSolver* solver_ = nullptr;
   std::size_t n_points_ = 0;
+  BudgetShare share_;
   std::vector<Pair> pairs_;  // [point][atom]
   std::vector<double> ylm_;  // [point][atom][lm]
 };
 
 class MultipoleSolver {
  public:
-  // Memory cap of one GridPlan. A plan covers the leading grid points
-  // whose (point, atom) pairs fit; golden water (984 points, 3 atoms,
-  // lmax 6) needs 1.3 MB.
+  // Memory cap of all GridPlans alive in the process together. A plan
+  // covers the leading grid points whose (point, atom) pairs fit in what
+  // the other live plans leave; golden water (984 points, 3 atoms, lmax 6)
+  // needs 1.3 MB.
   static constexpr std::size_t kPlanBudgetBytes = std::size_t{64} << 20;
 
   // The grid must retain its shell structure (grid.shells non-empty).
@@ -153,7 +180,8 @@ class MultipoleSolver {
   [[nodiscard]] MultipolePotential solve(const std::vector<double>& density,
                                          const GridPlan* plan = nullptr) const;
 
-  // Builds the plan for an iterative loop over this solver's grid.
+  // Builds the plan for an iterative loop over this solver's grid, within
+  // the share of kPlanBudgetBytes the live plans leave free.
   [[nodiscard]] GridPlan make_plan() const;
 
   // Convenience: potential evaluated back on every grid point. Points the

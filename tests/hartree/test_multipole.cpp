@@ -191,6 +191,36 @@ TEST(Multipole, PlannedSolveOnGridMatchesValueBitwise) {
   }
 }
 
+TEST(Multipole, LivePlansShareOneBudget) {
+  // A plan over a grid larger than the budget takes all of it; plans built
+  // while it (or the plan it was moved into) is alive get what is left,
+  // less than one of its points, and the budget is whole again once it is
+  // destroyed.
+  const grid::MolecularGrid big = grid::build_molecular_grid(
+      molecules::water_cluster(6), grid::GridSettings{});
+  grid::GridSettings s;
+  s.n_radial = 16;
+  s.angular_order = 7;
+  const grid::MolecularGrid small =
+      grid::build_molecular_grid(molecules::water(), s);
+  const MultipoleSolver big_solver(big, 6);
+  const MultipoleSolver small_solver(small, 6);
+  std::size_t covered = 0;
+  {
+    GridPlan first = big_solver.make_plan();
+    covered = first.n_points();
+    ASSERT_GT(covered, 0u);
+    ASSERT_LT(covered, big.size());
+    EXPECT_EQ(big_solver.make_plan().n_points(), 0u);
+    const GridPlan moved = std::move(first);
+    EXPECT_EQ(moved.n_points(), covered);
+    EXPECT_EQ(big_solver.make_plan().n_points(), 0u);
+    EXPECT_LT(small_solver.make_plan().n_points(), small.size());
+  }
+  EXPECT_EQ(big_solver.make_plan().n_points(), covered);
+  EXPECT_EQ(small_solver.make_plan().n_points(), small.size());
+}
+
 class MultipoleLmax : public ::testing::TestWithParam<int> {};
 
 TEST_P(MultipoleLmax, ErrorDecreasesWithLmax) {

@@ -3,10 +3,15 @@
 #include <atomic>
 #include <cmath>
 #include <random>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace swraman::parallel {
 namespace {
@@ -30,6 +35,39 @@ TEST(Spmd, PropagatesExceptions) {
                         }),
                Error);
 }
+
+TEST(HostRanks, CpuQuotaRoundsUpToWholeCores) {
+  EXPECT_EQ(cpu_quota_cores("200000 100000"), 2u);
+  EXPECT_EQ(cpu_quota_cores("150000 100000"), 2u);
+  EXPECT_EQ(cpu_quota_cores("50000 100000"), 1u);
+  EXPECT_EQ(cpu_quota_cores("max 100000"), 0u);
+  EXPECT_EQ(cpu_quota_cores("-1 100000"), 0u);
+  EXPECT_EQ(cpu_quota_cores("100000 0"), 0u);
+  EXPECT_EQ(cpu_quota_cores("12x 100000"), 0u);
+  EXPECT_EQ(cpu_quota_cores(""), 0u);
+}
+
+TEST(HostRanks, AtLeastOneAndNoMoreThanTheHostHas) {
+  const std::size_t ranks = host_ranks();
+  EXPECT_GE(ranks, 1u);
+  EXPECT_LE(ranks, std::max(1u, std::thread::hardware_concurrency()));
+}
+
+#ifdef __linux__
+TEST(HostRanks, FollowsTheThreadsAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = host_ranks();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 TEST(Comm, PointToPoint) {
   run_spmd(2, [](Communicator& comm) {

@@ -353,7 +353,7 @@ TEST(BecGolden, WaterMatchesDfptWithinToleranceAtFiveXFewerEvals) {
   }
 
   // Mode-level gate: identical shared modes, activities within 5%.
-  const linalg::Matrix hess = energy_hessian(atoms, ropt.vibrations);
+  const linalg::Matrix hess = energy_hessian(atoms, ropt.vibrations, 1);
   const NormalModes modes =
       normal_modes(atoms, hess, ropt.vibrations.project_rigid_body);
   const RamanSpectrum spec_bec =
