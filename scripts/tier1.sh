@@ -8,7 +8,7 @@
 # replay, zero lost jobs, bitwise spectra, lockcheck-clean), then
 # instrumented passes — the robustness/fault-injection suite and the
 # hartree + grid suites under ASan/UBSan, the obs + parallel + serve suites and
-# the rank-parallel energy Hessian under TSan (the
+# the rank-parallel Hessian, dalpha/dR and bec field loops under TSan (the
 # metrics registry claims lock-free counters and the serve pool claims
 # race-free work stealing; this is where we prove both), and the serve
 # + obs suites under UBSan.
@@ -220,13 +220,17 @@ if [ "${SANITIZER}" != "none" ]; then
         -DSWRAMAN_SANITIZE=thread \
         -DSWRAMAN_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-thread -j "${JOBS}" --target test_obs test_parallel \
-        test_serve test_fmm test_raman bench_serve_chaos
+        test_serve test_fmm test_raman test_robustness bench_serve_chaos
   ./build-thread/tests/test_obs
   ./build-thread/tests/test_parallel
-  # The energy Hessian solves its displaced points as run_spmd ranks that
-  # share the species cache and the read-only restart density, and adopt
-  # the caller's span context; its rank tests run under TSan.
-  ./build-thread/tests/test_raman --gtest_filter='EnergyHessian.*'
+  # The energy Hessian and both calculators' displaced points run through
+  # one claim loop (parallel::for_each_point): ranks share the species
+  # cache and the read-only restart density, run SCF + DFPT engines and
+  # the bec field SCFs, commit into one checkpoint under one mutex and
+  # visit the kill site there, and adopt the caller's span context. Their
+  # rank tests run under TSan.
+  ./build-thread/tests/test_raman --gtest_filter='EnergyHessian.*:Raman.RankParallelMatchesSerialBitwise:Bec.RankParallelMatchesSerialBitwise:Bec.CheckpointKillReplayIsFreeAndBitwise'
+  ./build-thread/tests/test_robustness --gtest_filter='ReplayOrEvaluate.*'
   # The FMM backend claims its CPE model fan-out is race-free; the
   # backend suite (M2L/P2P offload vs host path) runs under TSan.
   ./build-thread/tests/test_fmm

@@ -868,6 +868,32 @@ void run_spmd(std::size_t n_ranks,
   }
 }
 
+void for_each_point(std::size_t n_points, std::size_t n_ranks,
+                    const std::function<void(std::size_t)>& fn) {
+  SWRAMAN_REQUIRE(n_ranks >= 1, "for_each_point: need at least one rank");
+  const std::size_t ranks = std::min(n_ranks, n_points);
+  if (ranks <= 1) {
+    for (std::size_t k = 0; k < n_points; ++k) fn(k);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  const obs::SpanContext caller = obs::current_context();
+  run_spmd(ranks, [&](Communicator&) {
+    const obs::AdoptedContext adopt(caller);
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= n_points) return;
+      try {
+        fn(k);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
+      }
+    }
+  });
+}
+
 std::size_t cpu_quota_cores(const std::string& quota_period) {
   std::istringstream in(quota_period);
   std::string quota;

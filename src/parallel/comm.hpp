@@ -209,6 +209,19 @@ void run_spmd(std::size_t n_ranks,
               const std::function<void(Communicator&)>& fn,
               const CommConfig& config = {});
 
+// Runs fn(k) once for every k in [0, n_points) on min(n_ranks, n_points)
+// run_spmd ranks — the paper's geometry sub-groups. Points differ in cost,
+// so ranks claim indices one at a time from a shared counter instead of
+// taking a fixed share; fn(k) must write only what belongs to point k. One
+// rank runs the points on the calling thread, in index order. No collective
+// follows a point, so a point that throws leaves no peer blocked in one (its
+// error would reach that peer as a TimeoutError): its rank raises a flag,
+// the other ranks stop claiming, and the error is rethrown here, with its
+// type, once every rank has joined. Rank threads adopt the caller's span
+// context, so the spans fn opens nest under the caller's.
+void for_each_point(std::size_t n_points, std::size_t n_ranks,
+                    const std::function<void(std::size_t)>& fn);
+
 // Rank count that fills the cores this process may use, at least 1: the
 // fewest of hardware_concurrency(), the CPUs in the calling thread's
 // affinity mask, and the cores its cgroup's CPU quota allows (cgroup v2

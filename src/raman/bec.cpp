@@ -1,6 +1,7 @@
 #include "raman/bec.hpp"
 
 #include <cmath>
+#include <memory>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -166,24 +167,35 @@ linalg::Matrix finite_field_polarizability(
   return alpha;
 }
 
-GeometryRecord field_point(const std::vector<grid::AtomSite>& atoms,
+scf::GroundState field_scf(const std::vector<grid::AtomSite>& atoms,
                            const scf::ScfOptions& scf_options,
-                           double strength, int idx,
-                           const scf::ForceEvaluator& forces) {
+                           double strength, int idx) {
   scf::ScfOptions opts = scf_options;
-  const Vec3 field = field_vector(idx, strength);
-  opts.electric_field = field;
+  opts.electric_field = field_vector(idx, strength);
   scf::ScfEngine engine(atoms, opts);
-  const scf::GroundState gs = engine.solve();
+  scf::GroundState gs = engine.solve();
   if (!gs.converged) {
     throw ConvergenceError("finite-field SCF did not converge");
   }
+  return gs;
+}
+
+GeometryRecord field_record(const scf::GroundState& gs, const Vec3& field,
+                            const scf::ForceEvaluator& forces) {
   GeometryRecord rec;
   rec.forces = forces.forces(gs, field);
   for (std::size_t i = 0; i < 3; ++i) {
     rec.dipole[i] = gs.dipole[static_cast<int>(i)];
   }
   return rec;
+}
+
+GeometryRecord field_point(const std::vector<grid::AtomSite>& atoms,
+                           const scf::ScfOptions& scf_options,
+                           double strength, int idx,
+                           const scf::ForceEvaluator& forces) {
+  return field_record(field_scf(atoms, scf_options, strength, idx),
+                      field_vector(idx, strength), forces);
 }
 
 BecCalculator::BecCalculator(std::vector<grid::AtomSite> atoms,
@@ -205,25 +217,36 @@ std::vector<GeometryRecord> BecCalculator::field_records() {
     ckpt = Checkpoint(options_.checkpoint_path, atoms_,
                       options_.field_strength);
   }
-  std::vector<GeometryRecord> records(static_cast<std::size_t>(n));
+  std::vector<TaskKey> keys;
   for (int idx = 0; idx < n; ++idx) {
-    records[static_cast<std::size_t>(idx)] = replay_or_evaluate(
-        ckpt, static_cast<std::size_t>(idx), 0, kDefaultTaskAttempts,
-        fault::kBecKill, [&] {
-          SWRAMAN_TRACE_SPAN(field, "raman.bec.field");
-          if (field.active()) field.attr("field", static_cast<double>(idx));
-          if (!forces_) {
-            forces_ = std::make_unique<scf::ForceEvaluator>(
-                atoms_, options_.vibrations.scf);
-          }
-          GeometryRecord rec =
-              field_point(atoms_, options_.vibrations.scf,
-                          options_.field_strength, idx, *forces_);
-          ++n_field_forces_;
-          return rec;
-        });
+    keys.emplace_back(static_cast<std::size_t>(idx), 0);
   }
-  return records;
+  // The field SCFs run as ranks and keep their states; the forces follow
+  // on this thread (see field_records in bec.hpp).
+  std::vector<scf::GroundState> states(keys.size());
+  std::unique_ptr<scf::ForceEvaluator> forces;
+  return replay_or_evaluate(
+      ckpt, keys, kDefaultTaskAttempts, fault::kBecKill,
+      parallel::host_ranks(),
+      [&](std::size_t idx) {
+        SWRAMAN_TRACE_SPAN(field, "raman.bec.field");
+        if (field.active()) field.attr("field", static_cast<double>(idx));
+        states[idx] = field_scf(atoms_, options_.vibrations.scf,
+                                options_.field_strength,
+                                static_cast<int>(idx));
+        return GeometryRecord{};
+      },
+      &n_field_forces_,
+      [&](std::size_t idx, GeometryRecord& rec) {
+        if (!forces) {
+          forces = std::make_unique<scf::ForceEvaluator>(
+              atoms_, options_.vibrations.scf);
+        }
+        rec = field_record(
+            states[idx],
+            field_vector(static_cast<int>(idx), options_.field_strength),
+            *forces);
+      });
 }
 
 linalg::Matrix BecCalculator::polarizability_derivatives() {

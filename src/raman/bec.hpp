@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,11 +100,22 @@ void bec_derivatives(const std::vector<GeometryRecord>& records,
 linalg::Matrix finite_field_polarizability(
     const std::vector<GeometryRecord>& records, double field_strength);
 
-// One field point of the stencil, shared by BecCalculator and the serve
-// tier's RealEngine: the SCF at `atoms` under the field of stencil point
-// `idx` at `strength`, then the forces of that state from `forces` (built
-// for the same atoms and field-free `scf_options`) and the SCF dipole.
-// Throws ConvergenceError when the SCF does not converge.
+// The finite-field SCF of stencil point `idx`: the ground state at `atoms`
+// under field_vector(idx, strength). Throws ConvergenceError when the SCF
+// does not converge.
+scf::GroundState field_scf(const std::vector<grid::AtomSite>& atoms,
+                           const scf::ScfOptions& scf_options,
+                           double strength, int idx);
+
+// The record of a converged field state: its forces at `field` from
+// `forces` (built for the same atoms and field-free options) and its SCF
+// dipole.
+GeometryRecord field_record(const scf::GroundState& gs, const Vec3& field,
+                            const scf::ForceEvaluator& forces);
+
+// One field point of the stencil as serve's RealEngine runs it:
+// field_record of field_scf. Throws ConvergenceError when the SCF does not
+// converge.
 GeometryRecord field_point(const std::vector<grid::AtomSite>& atoms,
                            const scf::ScfOptions& scf_options,
                            double strength, int idx,
@@ -131,12 +141,18 @@ class BecCalculator {
     return dmu_;
   }
 
-  // Evaluates (or replays from the checkpoint) all 13 field records. A
-  // field SCF that does not converge throws ConvergenceError once the
-  // retries are spent.
+  // Evaluates (or replays from the checkpoint) all 13 field records. The
+  // missing points' field SCFs run as parallel::host_ranks() ranks and
+  // keep their ground states; then, only if some point missed, one
+  // ForceEvaluator is built (its 6N displaced engines are
+  // field-independent) and the forces are evaluated and committed on the
+  // calling thread in stencil order — concurrent force evaluations would
+  // raise the peak memory. Bitwise the same for any rank count. A field
+  // SCF that does not converge throws ConvergenceError once the retries
+  // are spent.
   [[nodiscard]] std::vector<GeometryRecord> field_records();
 
-  // Finite-field force evaluations actually performed by this calculator
+  // Finite-field force evaluations committed by this calculator
   // (checkpointed field points skipped on resume do not count).
   [[nodiscard]] int n_field_forces() const { return n_field_forces_; }
 
@@ -144,11 +160,6 @@ class BecCalculator {
   std::vector<grid::AtomSite> atoms_;
   BecOptions options_;
   linalg::Matrix dmu_;
-  // Built lazily on the first fresh field evaluation (a fully
-  // checkpointed resume never pays for the displaced engines) and shared
-  // by all 13 stencil points — the displaced geometries are
-  // field-independent.
-  std::unique_ptr<scf::ForceEvaluator> forces_;
   int n_field_forces_ = 0;
 };
 

@@ -6,11 +6,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "obs/obs.hpp"
+#include "parallel/comm.hpp"
 #include "robustness/fault.hpp"
 
 namespace swraman::raman {
@@ -200,31 +202,75 @@ void Checkpoint::record(std::size_t coord, int sign,
   append_record({coord, sign}, rec);
 }
 
-GeometryRecord replay_or_evaluate(
-    Checkpoint& ckpt, std::size_t key, int sign, int attempts,
-    const char* kill_site, const std::function<GeometryRecord()>& evaluate) {
-  if (const GeometryRecord* stored = ckpt.lookup(key, sign)) {
-    obs::count("checkpoint.hits");
-    return *stored;
-  }
-  obs::count("checkpoint.misses");
-  attempts = std::max(1, attempts);
-  GeometryRecord rec;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      rec = evaluate();
-      break;
-    } catch (const FaultInjected&) {
-      throw;  // a simulated hard failure (process kill) must propagate
-    } catch (const Error& e) {
-      if (attempt >= attempts) throw;
-      log::warn("raman: task (", key, ", ", sign, ") failed on attempt ",
-                attempt, "/", attempts, " (", e.what(), ") — retrying");
+std::vector<GeometryRecord> replay_or_evaluate(
+    Checkpoint& ckpt, const std::vector<TaskKey>& keys, int attempts,
+    const char* kill_site, std::size_t n_ranks,
+    const std::function<GeometryRecord(std::size_t)>& evaluate,
+    int* committed,
+    const std::function<void(std::size_t, GeometryRecord&)>& finish) {
+  std::vector<GeometryRecord> records(keys.size());
+  std::vector<std::size_t> misses;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (const GeometryRecord* stored =
+            ckpt.lookup(keys[i].first, keys[i].second)) {
+      obs::count("checkpoint.hits");
+      records[i] = *stored;
+    } else {
+      obs::count("checkpoint.misses");
+      misses.push_back(i);
     }
   }
-  ckpt.record(key, sign, rec);
-  if (fault::should_fire(kill_site)) fault::FaultInjector::raise(kill_site);
-  return rec;
+  attempts = std::max(1, attempts);
+
+  std::mutex commit_mutex;
+  bool stopped = false;  // a task failed or the kill fired; commits end
+  const auto stop = [&] {
+    const std::scoped_lock lock(commit_mutex);
+    stopped = true;
+  };
+  const auto commit = [&](std::size_t i) {
+    const std::scoped_lock lock(commit_mutex);
+    if (stopped) return;
+    try {
+      ckpt.record(keys[i].first, keys[i].second, records[i]);
+      if (committed != nullptr) ++*committed;
+      if (fault::should_fire(kill_site)) fault::FaultInjector::raise(kill_site);
+    } catch (...) {
+      stopped = true;  // before the lock is released to a peer's commit
+      throw;
+    }
+  };
+  const auto evaluate_with_retry = [&](std::size_t i) {
+    for (int attempt = 1;; ++attempt) {
+      try {
+        return evaluate(i);
+      } catch (const FaultInjected&) {
+        throw;  // a simulated hard failure (process kill) must propagate
+      } catch (const Error& e) {
+        if (attempt >= attempts) throw;
+        log::warn("raman: task (", keys[i].first, ", ", keys[i].second,
+                  ") failed on attempt ", attempt, "/", attempts, " (",
+                  e.what(), ") — retrying");
+      }
+    }
+  };
+  parallel::for_each_point(misses.size(), n_ranks, [&](std::size_t m) {
+    const std::size_t i = misses[m];
+    try {
+      records[i] = evaluate_with_retry(i);
+    } catch (...) {
+      stop();
+      throw;
+    }
+    if (!finish) commit(i);
+  });
+  if (finish) {
+    for (const std::size_t i : misses) {
+      finish(i, records[i]);
+      commit(i);
+    }
+  }
+  return records;
 }
 
 }  // namespace swraman::raman

@@ -94,18 +94,35 @@ class Checkpoint {
 // geometry_attempts defaults to it; the bec tier's field loop uses it.
 inline constexpr int kDefaultTaskAttempts = 2;
 
-// One task of a checkpointed evaluation loop — a displaced geometry of
-// RamanCalculator (key = coordinate, sign +/-1) or a field point of
-// BecCalculator (key = stencil index, sign 0):
-//   1. replays the stored record when `ckpt` has one (checkpoint.hits);
-//   2. otherwise (checkpoint.misses) runs `evaluate`, retrying an Error
-//      up to `attempts` tries in all — an injected FaultInjected (a
-//      simulated process death) always propagates;
-//   3. appends the fresh record to `ckpt`, flushed before it is used;
-//   4. fires the fault site `kill_site`: a simulated process death right
-//      after the record became durable, the crash window restart covers.
-GeometryRecord replay_or_evaluate(
-    Checkpoint& ckpt, std::size_t key, int sign, int attempts,
-    const char* kill_site, const std::function<GeometryRecord()>& evaluate);
+// Key of one checkpointed task: a displaced geometry of RamanCalculator
+// (coordinate, sign +/-1) or a field point of BecCalculator (stencil
+// index, sign 0).
+using TaskKey = std::pair<std::size_t, int>;
+
+// A checkpointed evaluation loop, one task per key (result i is keys[i]'s):
+//   1. replays every stored key first (checkpoint.hits), before any task
+//      runs;
+//   2. runs `evaluate(i)` for each miss (checkpoint.misses) through
+//      parallel::for_each_point on n_ranks ranks, retrying an Error up to
+//      `attempts` tries in all — an injected FaultInjected (a simulated
+//      process death) always propagates;
+//   3. commits each finished task under one mutex: ckpt.record (flushed
+//      before the record is used), then ++*committed when given, then the
+//      fault site `kill_site` — a simulated process death right after the
+//      record became durable, the crash window restart covers.
+// Without `finish` a task commits on its rank as soon as it is evaluated.
+// With `finish` the misses commit after the join, on the calling thread
+// and in key order, each once finish(i, record) has completed its record;
+// finish is not retried and runs only when some key missed.
+// Once a task has failed or the kill site has fired no further task
+// commits (a killed process writes nothing more), so a kill on the k-th
+// visit leaves exactly k durable records and *committed == k under any
+// rank count. The error reaches the caller with its type after the join.
+std::vector<GeometryRecord> replay_or_evaluate(
+    Checkpoint& ckpt, const std::vector<TaskKey>& keys, int attempts,
+    const char* kill_site, std::size_t n_ranks,
+    const std::function<GeometryRecord(std::size_t)>& evaluate,
+    int* committed,
+    const std::function<void(std::size_t, GeometryRecord&)>& finish = {});
 
 }  // namespace swraman::raman

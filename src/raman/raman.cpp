@@ -20,7 +20,7 @@ RamanCalculator::RamanCalculator(std::vector<grid::AtomSite> atoms,
 
 GeometryRecord displaced_polarizability(
     const std::vector<grid::AtomSite>& atoms, const RamanOptions& options,
-    std::size_t coord, int sign, int* n_solved) {
+    std::size_t coord, int sign) {
   scf::ScfEngine engine(
       grid::displaced(atoms, coord, sign * options.alpha_displacement),
       options.vibrations.scf);
@@ -28,7 +28,6 @@ GeometryRecord displaced_polarizability(
   if (!gs.converged) {
     throw ConvergenceError("displaced SCF did not converge");
   }
-  if (n_solved != nullptr) ++*n_solved;
   dfpt::DfptEngine dfpt(engine, gs, options.dfpt);
   const linalg::Matrix alpha = dfpt.polarizability();
   GeometryRecord rec;
@@ -62,23 +61,29 @@ linalg::Matrix RamanCalculator::polarizability_derivatives() {
   if (!options_.checkpoint_path.empty()) {
     ckpt = Checkpoint(options_.checkpoint_path, atoms_, d);
   }
+  // Index 2 * coord is the +d geometry of coord, 2 * coord + 1 the -d one.
+  std::vector<TaskKey> keys;
+  keys.reserve(2 * n);
   for (std::size_t coord = 0; coord < n; ++coord) {
-    GeometryRecord rec[2];  // index 0: +d, index 1: -d
-    for (int s = 0; s < 2; ++s) {
-      const int sign = s == 0 ? +1 : -1;
-      rec[s] = replay_or_evaluate(
-          ckpt, coord, sign, options_.geometry_attempts, fault::kRamanKill,
-          [&] {
-            SWRAMAN_TRACE_SPAN(geo, "raman.geometry");
-            if (geo.active()) {
-              geo.attr("coord", static_cast<double>(coord));
-              geo.attr("sign", static_cast<double>(sign));
-            }
-            return displaced_polarizability(atoms_, options_, coord, sign,
-                                            &n_polarizabilities_);
-          });
-    }
-    difference_row(rec[0], rec[1], d, coord, &deriv, &dmu_);
+    keys.emplace_back(coord, +1);
+    keys.emplace_back(coord, -1);
+  }
+  const std::vector<GeometryRecord> rec = replay_or_evaluate(
+      ckpt, keys, options_.geometry_attempts, fault::kRamanKill,
+      parallel::host_ranks(),
+      [&](std::size_t i) {
+        const auto [coord, sign] = keys[i];
+        SWRAMAN_TRACE_SPAN(geo, "raman.geometry");
+        if (geo.active()) {
+          geo.attr("coord", static_cast<double>(coord));
+          geo.attr("sign", static_cast<double>(sign));
+        }
+        return displaced_polarizability(atoms_, options_, coord, sign);
+      },
+      &n_polarizabilities_);
+  for (std::size_t coord = 0; coord < n; ++coord) {
+    difference_row(rec[2 * coord], rec[2 * coord + 1], d, coord, &deriv,
+                   &dmu_);
   }
   return deriv;
 }

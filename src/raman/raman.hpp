@@ -64,11 +64,10 @@ struct BroadenedSpectrum {
 // the serve tier's RealEngine: the SCF at `atoms` with coordinate `coord`
 // moved by sign * options.alpha_displacement, then the DFPT
 // polarizability, packed with the SCF dipole into a record. Throws
-// ConvergenceError when the SCF does not converge. `n_solved`, when
-// given, is bumped once the SCF has converged, before the DFPT solve.
+// ConvergenceError when the SCF does not converge.
 GeometryRecord displaced_polarizability(
     const std::vector<grid::AtomSite>& atoms, const RamanOptions& options,
-    std::size_t coord, int sign, int* n_solved = nullptr);
+    std::size_t coord, int sign);
 
 // Row `coord` of d(alpha)/dR (3N x 9) and d(mu)/dR (3N x 3): the central
 // difference of the +d and -d records of that coordinate.
@@ -89,8 +88,10 @@ class RamanCalculator {
   // dipole derivatives d(mu)/dR from the same displaced SCF solutions,
   // giving IR intensities for free.
   // Each displaced geometry is replayed from the checkpoint or evaluated
-  // with bounded retry (replay_or_evaluate); an SCF that does not converge
-  // throws ConvergenceError once the retries are spent.
+  // with bounded retry (replay_or_evaluate), the misses as
+  // parallel::host_ranks() ranks; the result is bitwise the same for any
+  // rank count. An SCF that does not converge throws ConvergenceError once
+  // the retries are spent.
   [[nodiscard]] linalg::Matrix polarizability_derivatives();
 
   // d(mu)/dR (3N x 3), valid after polarizability_derivatives()/compute().
@@ -98,8 +99,9 @@ class RamanCalculator {
     return dmu_;
   }
 
-  // DFPT polarizability evaluations actually performed by this calculator
-  // (checkpointed geometries that were skipped on resume do not count).
+  // DFPT polarizability evaluations committed by this calculator
+  // (checkpointed geometries that were skipped on resume do not count, nor
+  // do those still in flight when a peer's failure or kill ended the loop).
   [[nodiscard]] int n_polarizabilities() const {
     return n_polarizabilities_;
   }

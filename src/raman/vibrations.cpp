@@ -1,14 +1,11 @@
 #include "raman/vibrations.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/constants.hpp"
 #include "common/elements.hpp"
 #include "common/error.hpp"
 #include "linalg/eigen.hpp"
-#include "obs/trace.hpp"
 #include "parallel/comm.hpp"
 
 namespace swraman::raman {
@@ -26,38 +23,9 @@ std::vector<double> scf_energies(
     const std::vector<std::vector<grid::AtomSite>>& geometries,
     const scf::ScfOptions& options, const linalg::Matrix* restart,
     std::size_t n_ranks) {
-  SWRAMAN_REQUIRE(n_ranks >= 1, "scf_energies: need at least one rank");
-  const std::size_t n_points = geometries.size();
-  std::vector<double> energies(n_points);
-  const auto solve = [&](std::size_t k) {
+  std::vector<double> energies(geometries.size());
+  parallel::for_each_point(geometries.size(), n_ranks, [&](std::size_t k) {
     energies[k] = converged_scf(geometries[k], options, restart).total_energy;
-  };
-  const std::size_t ranks = std::min(n_ranks, n_points);
-  if (ranks <= 1) {
-    for (std::size_t k = 0; k < n_points; ++k) solve(k);
-    return energies;
-  }
-
-  // Points differ in SCF iteration count, so ranks claim them one at a
-  // time instead of taking a fixed share. No collective follows a solve,
-  // so a rank whose point throws leaves no peer blocked in one (its
-  // ConvergenceError would reach that peer as a TimeoutError): it raises
-  // `failed`, and the others stop claiming points.
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  const obs::SpanContext caller = obs::current_context();
-  parallel::run_spmd(ranks, [&](parallel::Communicator&) {
-    const obs::AdoptedContext adopt(caller);
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= n_points) return;
-      try {
-        solve(k);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        throw;
-      }
-    }
   });
   return energies;
 }

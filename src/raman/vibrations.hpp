@@ -26,13 +26,12 @@ scf::GroundState converged_scf(const std::vector<grid::AtomSite>& atoms,
                                const linalg::Matrix* restart = nullptr);
 
 // Total energies of independent geometries (result k is geometries[k]'s),
-// solved on min(n_ranks, geometries.size()) parallel::run_spmd ranks — the
-// paper's geometry sub-groups. Ranks claim points from a shared counter;
-// every SCF restarts from the read-only `restart` when given, so each
-// energy is bitwise the same for any rank count. One rank solves on the
-// calling thread. A point that does not converge throws ConvergenceError:
-// the other ranks stop claiming points, and the error is rethrown here, with
-// its type, once every rank has joined.
+// solved through parallel::for_each_point on n_ranks ranks — the paper's
+// geometry sub-groups. Every SCF restarts from the read-only `restart` when
+// given, so each energy is bitwise the same for any rank count. A point
+// that does not converge throws ConvergenceError: the other ranks stop
+// claiming points, and the error is rethrown here, with its type, once
+// every rank has joined.
 std::vector<double> scf_energies(
     const std::vector<std::vector<grid::AtomSite>>& geometries,
     const scf::ScfOptions& options, const linalg::Matrix* restart,

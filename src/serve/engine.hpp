@@ -14,8 +14,9 @@
 //   RealEngine     the real solves, through the same task functions the
 //                  serial calculators call: raman::displaced_polarizability
 //                  (SCF + DFPT on the displaced molecule) and
-//                  raman::field_point (finite-field SCF + forces), so a
-//                  served job reproduces the single-job pipeline bitwise.
+//                  raman::field_point (finite-field SCF + forces, the
+//                  two halves BecCalculator runs), so a served job
+//                  reproduces the single-job pipeline bitwise.
 //   ModeledEngine  deterministic synthetic evaluation for machine-scale
 //                  systems (RBD, Table-1 silicon): the result is a pure
 //                  function of (canonical key, seed) and the engine burns

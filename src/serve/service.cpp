@@ -54,12 +54,14 @@ RamanService::RamanService(ServiceOptions options)
   // scheduler/cache call must hold mutex_ (lock.guard_unheld otherwise).
   scheduler_.set_guard(&mutex_);
   cache_.set_guard(&mutex_);
-  const std::string suffix =
-      options_.shard_id >= 0 ? "." + std::to_string(options_.shard_id) : "";
+  // Prefixing a const lvalue, not the temporary of std::to_string: GCC 12
+  // draws a false -Wrestrict on operator+(const char*, std::string&&).
+  const std::string shard =
+      options_.shard_id >= 0 ? std::to_string(options_.shard_id) : "";
+  const std::string suffix = shard.empty() ? "" : "." + shard;
   queue_gauge_name_ = "serve.queue.depth" + suffix;
   ratio_gauge_name_ = "serve.cache.hit_ratio" + suffix;
-  log_prefix_ =
-      options_.shard_id >= 0 ? "s" + std::to_string(options_.shard_id) : "";
+  log_prefix_ = shard.empty() ? "" : "s" + shard;
   WorkerPool::Options pool_opts;
   pool_opts.n_workers = std::max<std::size_t>(1, options_.n_workers);
   pool_opts.steal = options_.work_stealing;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "dfpt/dfpt_engine.hpp"
 #include "obs/obs.hpp"
 #include "robustness/fault.hpp"
+#include "obs/report.hpp"
+#include "scf/forces.hpp"
 #include "scf/scf_engine.hpp"
 
 // The Born-effective-charge fast tier (raman/bec.hpp): stencil algebra on
@@ -222,6 +225,54 @@ TEST(Bec, H2ComputeCountsFieldForcesNotPolarizabilities) {
   EXPECT_GT(spec.modes[0].frequency_cm, 1000.0);
   EXPECT_GE(spec.modes[0].activity, 0.0);
   EXPECT_TRUE(std::isfinite(spec.modes[0].activity));
+}
+
+void expect_bitwise_equal(double x, double y, const char* what, int idx) {
+  EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+      << what << " of field " << idx << ": " << x << " vs " << y;
+}
+
+TEST(Bec, RankParallelMatchesSerialBitwise) {
+  // The calculator solves the 13 field SCFs as host_ranks() ranks, then
+  // the forces on the calling thread; the reference runs serve's
+  // field_point serially, in stencil order, on one shared evaluator.
+  fault::ScopedFaults guard;
+  const BecOptions opt = coarse_options();
+  BecCalculator calc(water(), opt);
+  obs::set_enabled(true);
+  obs::reset_for_testing();
+  const std::vector<GeometryRecord> records = calc.field_records();
+  const std::vector<obs::SpanRecord> spans = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset_for_testing();
+  EXPECT_EQ(calc.n_field_forces(), n_field_points());
+
+  const scf::ForceEvaluator forces(water(), opt.vibrations.scf);
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(n_field_points()));
+  for (int idx = 0; idx < n_field_points(); ++idx) {
+    const GeometryRecord want = field_point(
+        water(), opt.vibrations.scf, opt.field_strength, idx, forces);
+    const GeometryRecord& got = records[static_cast<std::size_t>(idx)];
+    for (std::size_t a = 0; a < 3; ++a) {
+      expect_bitwise_equal(got.dipole[a], want.dipole[a], "dipole", idx);
+    }
+    ASSERT_EQ(got.forces.size(), want.forces.size());
+    for (std::size_t k = 0; k < want.forces.size(); ++k) {
+      expect_bitwise_equal(got.forces[k], want.forces[k], "force", idx);
+    }
+  }
+
+  // Every field span nests under the loop span, rank threads included.
+  std::size_t fields = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.name != "raman.bec.field") continue;
+    ++fields;
+    EXPECT_EQ(s.path, "raman.bec.fields/raman.bec.field");
+  }
+  EXPECT_EQ(fields, static_cast<std::size_t>(n_field_points()));
+  for (const obs::PhaseNode& p : obs::aggregate_phases(spans)) {
+    EXPECT_GE(p.self_s, 0.0) << p.path;
+  }
 }
 
 TEST(Bec, CheckpointKillReplayIsFreeAndBitwise) {

@@ -1,10 +1,13 @@
 #include "raman/raman.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "obs/report.hpp"
+#include "obs/trace.hpp"
 
 namespace swraman::raman {
 namespace {
@@ -49,6 +52,66 @@ TEST(Raman, UnconvergedDisplacedScfThrowsConvergenceError) {
   RamanCalculator calc(h2, opt);
   EXPECT_THROW((void)calc.polarizability_derivatives(), ConvergenceError);
   EXPECT_EQ(calc.n_polarizabilities(), 0);
+}
+
+// The golden water geometry and its coarse 16/7 grid.
+std::vector<grid::AtomSite> water() {
+  return {{8, {0.0, 0.0, 0.3268247149}},
+          {1, {1.2518316921, 0.0, 0.9437281316}},
+          {1, {-1.2518316921, 0.0, 0.9437281316}}};
+}
+
+void expect_bitwise_equal(const linalg::Matrix& a, const linalg::Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const double x = a(i, j);
+      const double y = b(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+          << "(" << i << ", " << j << "): " << x << " vs " << y;
+    }
+  }
+}
+
+TEST(Raman, RankParallelMatchesSerialBitwise) {
+  // The calculator solves its 6N displaced geometries as host_ranks()
+  // ranks; the reference runs the same shared task serially, in order.
+  RamanOptions opt;
+  opt.vibrations.scf.grid.n_radial = 16;
+  opt.vibrations.scf.grid.angular_order = 7;
+  const std::vector<grid::AtomSite> atoms = water();
+  RamanCalculator calc(atoms, opt);
+  obs::set_enabled(true);
+  obs::reset_for_testing();
+  const linalg::Matrix dalpha = calc.polarizability_derivatives();
+  const std::vector<obs::SpanRecord> spans = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset_for_testing();
+
+  const std::size_t n = 3 * atoms.size();
+  EXPECT_EQ(calc.n_polarizabilities(), static_cast<int>(2 * n));
+  linalg::Matrix want_dalpha(n, 9);
+  linalg::Matrix want_dmu(n, 3);
+  for (std::size_t coord = 0; coord < n; ++coord) {
+    difference_row(displaced_polarizability(atoms, opt, coord, +1),
+                   displaced_polarizability(atoms, opt, coord, -1),
+                   opt.alpha_displacement, coord, &want_dalpha, &want_dmu);
+  }
+  expect_bitwise_equal(dalpha, want_dalpha);
+  expect_bitwise_equal(calc.dipole_derivatives(), want_dmu);
+
+  // Every geometry span nests under the loop span, rank threads included.
+  std::size_t geometries = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.name != "raman.geometry") continue;
+    ++geometries;
+    EXPECT_EQ(s.path, "raman.dalpha/raman.geometry");
+  }
+  EXPECT_EQ(geometries, 2 * n);
+  for (const obs::PhaseNode& p : obs::aggregate_phases(spans)) {
+    EXPECT_GE(p.self_s, 0.0) << p.path;
+  }
 }
 
 TEST(Broaden, PeaksAtModeFrequencies) {

@@ -1,8 +1,11 @@
 #include "raman/checkpoint.hpp"
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +24,16 @@ std::vector<grid::AtomSite> water() {
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
+}
+
+// Finished-task records ("geom ..." lines) in a checkpoint file.
+std::size_t geom_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("geom ", 0) == 0) ++n;
+  }
+  return n;
 }
 
 GeometryRecord sample_record(double base) {
@@ -136,25 +149,29 @@ TEST(Checkpoint, ToleratesTruncatedTrailingRecord) {
   std::remove(path.c_str());
 }
 
-// The replay-or-evaluate step both Raman calculators run per task.
+// The checkpointed loop both Raman calculators run their tasks through.
 TEST(ReplayOrEvaluate, RetriesTransientErrorThenRecordsAndReplays) {
   fault::ScopedFaults guard;
   const std::string path = temp_path("ckpt_replay_retry.txt");
   std::remove(path.c_str());
   Checkpoint ckpt(path, water(), 0.01);
   int calls = 0;
-  const auto flaky = [&] {
+  const auto flaky = [&](std::size_t) {
     if (++calls == 1) throw TimeoutError("transient");
     return sample_record(3.0);
   };
-  const GeometryRecord rec =
-      replay_or_evaluate(ckpt, 4, -1, 2, fault::kRamanKill, flaky);
+  const GeometryRecord rec = replay_or_evaluate(ckpt, {{4, -1}}, 2,
+                                                fault::kRamanKill, 1, flaky,
+                                                nullptr)
+                                 .front();
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(rec.alpha, sample_record(3.0).alpha);
   ASSERT_NE(ckpt.lookup(4, -1), nullptr);
   // A stored task is replayed without evaluating again.
-  const GeometryRecord again =
-      replay_or_evaluate(ckpt, 4, -1, 2, fault::kRamanKill, flaky);
+  const GeometryRecord again = replay_or_evaluate(ckpt, {{4, -1}}, 2,
+                                                  fault::kRamanKill, 1, flaky,
+                                                  nullptr)
+                                   .front();
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(again.dipole, rec.dipole);
   std::remove(path.c_str());
@@ -164,19 +181,21 @@ TEST(ReplayOrEvaluate, RethrowsAfterLastAttemptAndNeverRetriesAKill) {
   fault::ScopedFaults guard;
   Checkpoint ckpt;
   int calls = 0;
-  EXPECT_THROW(replay_or_evaluate(ckpt, 0, +1, 2, fault::kRamanKill,
-                                  [&]() -> GeometryRecord {
+  EXPECT_THROW(replay_or_evaluate(ckpt, {{0, +1}}, 2, fault::kRamanKill, 1,
+                                  [&](std::size_t) -> GeometryRecord {
                                     ++calls;
                                     throw ConvergenceError("unconverged");
-                                  }),
+                                  },
+                                  nullptr),
                ConvergenceError);
   EXPECT_EQ(calls, 2);
   calls = 0;
-  EXPECT_THROW(replay_or_evaluate(ckpt, 0, +1, 3, fault::kRamanKill,
-                                  [&]() -> GeometryRecord {
+  EXPECT_THROW(replay_or_evaluate(ckpt, {{0, +1}}, 3, fault::kRamanKill, 1,
+                                  [&](std::size_t) -> GeometryRecord {
                                     ++calls;
                                     throw FaultInjected("killed");
-                                  }),
+                                  },
+                                  nullptr),
                FaultInjected);
   EXPECT_EQ(calls, 1);
 }
@@ -190,14 +209,70 @@ TEST(ReplayOrEvaluate, KillSiteFiresAfterTheRecordIsDurable) {
   std::remove(path.c_str());
   {
     Checkpoint ckpt(path, water(), 0.01);
-    EXPECT_THROW(replay_or_evaluate(ckpt, 2, 0, 2, fault::kBecKill,
-                                    [] { return sample_record(5.0); }),
-                 FaultInjected);
+    EXPECT_THROW(
+        replay_or_evaluate(ckpt, {{2, 0}}, 2, fault::kBecKill, 1,
+                           [](std::size_t) { return sample_record(5.0); },
+                           nullptr),
+        FaultInjected);
   }
   Checkpoint resumed(path, water(), 0.01);
   ASSERT_NE(resumed.lookup(2, 0), nullptr);
   EXPECT_EQ(resumed.lookup(2, 0)->alpha, sample_record(5.0).alpha);
   std::remove(path.c_str());
+}
+
+TEST(ReplayOrEvaluate, KillUnderRanksLeavesExactlyKRecordsAndResumesTheRest) {
+  // Water's 18 displaced-geometry keys on 2 and 4 ranks. Each task sleeps
+  // so peers are still in flight when the kill fires on the 5th commit;
+  // none of them may commit after it.
+  std::vector<TaskKey> keys;
+  for (std::size_t coord = 0; coord < 9; ++coord) {
+    keys.emplace_back(coord, +1);
+    keys.emplace_back(coord, -1);
+  }
+  std::atomic<int> calls{0};
+  const auto evaluate = [&](std::size_t i) {
+    ++calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return sample_record(static_cast<double>(i));
+  };
+  for (const std::size_t ranks : {2, 4}) {
+    SCOPED_TRACE(ranks);
+    fault::ScopedFaults guard;
+    const std::string path = temp_path("ckpt_replay_ranks_kill.txt");
+    std::remove(path.c_str());
+    calls = 0;
+    {
+      fault::FaultSpec fs;
+      fs.fire_at = 5;
+      fault::FaultInjector::instance().configure(fault::kRamanKill, fs);
+      Checkpoint ckpt(path, water(), 0.01);
+      int committed = 0;
+      EXPECT_THROW(replay_or_evaluate(ckpt, keys, 2, fault::kRamanKill, ranks,
+                                      evaluate, &committed),
+                   FaultInjected);
+      EXPECT_EQ(committed, 5);
+      EXPECT_GE(calls.load(), 5);
+      fault::reset();
+    }
+    EXPECT_EQ(geom_lines(path), 5u);
+
+    calls = 0;
+    Checkpoint resumed(path, water(), 0.01);
+    ASSERT_EQ(resumed.size(), 5u);
+    int committed = 0;
+    const std::vector<GeometryRecord> records = replay_or_evaluate(
+        resumed, keys, 2, fault::kRamanKill, ranks, evaluate, &committed);
+    EXPECT_EQ(calls.load(), 13);
+    EXPECT_EQ(committed, 13);
+    EXPECT_EQ(geom_lines(path), keys.size());
+    ASSERT_EQ(records.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(records[i].alpha, sample_record(static_cast<double>(i)).alpha)
+          << "task " << i;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
