@@ -206,10 +206,11 @@ if [ "${SANITIZER}" != "none" ]; then
   cmake --build "build-${SANITIZER}" -j "${JOBS}" --target \
         test_robustness test_hartree test_grid
   "./build-${SANITIZER}/tests/test_robustness"
-  # The Hartree grid plan indexes flat [point][atom][lm] buffers and a
-  # per-channel scratch sized from lmax (81 channels at lmax 8); only the
-  # instrumented build catches an overrun there, as it would one in the
-  # Y_lm recurrence tables.
+  # The Hartree grid plan indexes flat [point][atom][lm] buffers whose
+  # rows hold only the live channels (16 of 81 at lmax 8 on a 16/7 grid),
+  # and the solve's scratch is sized from them; only the instrumented
+  # build catches an overrun there, as it would one in the Y_lm
+  # recurrence tables.
   "./build-${SANITIZER}/tests/test_hartree"
   "./build-${SANITIZER}/tests/test_grid"
 

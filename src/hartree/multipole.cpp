@@ -53,24 +53,97 @@ MultipoleSolver::MultipoleSolver(const grid::MolecularGrid& grid, int lmax)
                   "MultipoleSolver: grid lacks shell structure");
   n_lm_ = grid::n_lm(lmax_);
 
-  shells_of_atom_.resize(grid_.atoms.size());
+  atoms_.resize(grid_.atoms.size());
   for (std::size_t s = 0; s < grid_.shells.size(); ++s) {
-    shells_of_atom_[static_cast<std::size_t>(grid_.shells[s].atom)].push_back(s);
+    atoms_[static_cast<std::size_t>(grid_.shells[s].atom)].shells.push_back(s);
   }
-  for (auto& list : shells_of_atom_) {
-    std::sort(list.begin(), list.end(), [this](std::size_t a, std::size_t b) {
-      return grid_.shells[a].radius < grid_.shells[b].radius;
-    });
+  std::size_t max_shells = 0;
+  for (AtomKnots& kn : atoms_) {
+    std::sort(kn.shells.begin(), kn.shells.end(),
+              [this](std::size_t a, std::size_t b) {
+                return grid_.shells[a].radius < grid_.shells[b].radius;
+              });
+    const std::size_t ns = kn.shells.size();
+    if (ns == 0) continue;
+    SWRAMAN_REQUIRE(ns >= 2, "MultipoleSolver: an atom needs two shells");
+    int max_order = 0;
+    for (std::size_t s : kn.shells) {
+      kn.radii.push_back(grid_.shells[s].radius);
+      max_order = std::max(max_order, grid_.shells[s].angular_order);
+    }
+    // The projection in solve() caps each shell at l = order/2.
+    kn.l_live = std::min(lmax_, max_order / 2);
+    l_plan_ = std::max(l_plan_, kn.l_live);
+    max_shells = std::max(max_shells, ns);
+
+    const std::vector<double>& x = kn.radii;
+    for (std::size_t i = 0; i + 1 < ns; ++i) {
+      SWRAMAN_REQUIRE(x[i + 1] > x[i],
+                      "MultipoleSolver: shell radii must increase");
+      const double h = x[i + 1] - x[i];
+      kn.h.push_back(h);
+      kn.h3.push_back(h * h * h);
+    }
+    // solve_tridiagonal's forward elimination on natural_second_derivatives'
+    // bands, which depend on the knots only. The sub-diagonal is h[j] / 6;
+    // its entry 0 couples to the boundary and is never read.
+    if (ns >= 3) {
+      const std::size_t n = ns - 2;
+      kn.elim_b.resize(n);
+      kn.elim_c.resize(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        kn.elim_b[j] = (kn.h[j] + kn.h[j + 1]) / 3.0;
+        kn.elim_c[j] = kn.h[j + 1] / 6.0;
+      }
+      kn.elim_c[n - 1] = 0.0;
+      kn.elim_m.assign(n, 0.0);
+      for (std::size_t j = 1; j < n; ++j) {
+        kn.elim_m[j] = kn.h[j] / 6.0 / kn.elim_b[j - 1];
+        kn.elim_b[j] -= kn.elim_m[j] * kn.elim_c[j - 1];
+      }
+    }
+    for (int l = 0; l <= kn.l_live; ++l) {
+      for (std::size_t s = 0; s < ns; ++s) {
+        kn.pow_lt.push_back(std::pow(x[s], l + 2));
+        kn.pow_gt.push_back(std::pow(x[s], 1 - l));
+        kn.pow_out.push_back(std::pow(x[s], l + 1));
+        kn.pow_in.push_back(std::pow(x[s], l));
+      }
+      kn.pow_inner.push_back(std::pow(x[0], l + 3));
+    }
+  }
+  plan_stride_ = grid::n_lm(l_plan_);
+  // solve(): the projected density [lm][s] of the widest atom, then six
+  // per-channel rows of ns (see there).
+  scratch_size_ = (grid::n_lm(l_plan_) + 6) * max_shells;
+}
+
+void MultipoleSolver::AtomKnots::second_derivatives(const double* y,
+                                                    double* y2) const {
+  const std::size_t ns = radii.size();
+  y2[0] = 0.0;
+  y2[ns - 1] = 0.0;
+  if (ns < 3) return;
+  // solve_tridiagonal on the interior knots, in place in y2[1..ns-2].
+  const std::size_t n = ns - 2;
+  for (std::size_t j = 0; j < n; ++j) {
+    y2[j + 1] = (y[j + 2] - y[j + 1]) / h[j + 1] - (y[j + 1] - y[j]) / h[j];
+  }
+  for (std::size_t j = 1; j < n; ++j) y2[j + 1] -= elim_m[j] * y2[j];
+  y2[n] /= elim_b[n - 1];
+  for (std::size_t j = n - 1; j-- > 0;) {
+    y2[j + 1] = (y2[j + 1] - elim_c[j] * y2[j + 2]) / elim_b[j];
   }
 }
 
-std::vector<double> MultipoleSolver::shell_radii(std::size_t atom) const {
-  std::vector<double> radii;
-  radii.reserve(shells_of_atom_[atom].size());
-  for (std::size_t s : shells_of_atom_[atom]) {
-    radii.push_back(grid_.shells[s].radius);
+void MultipoleSolver::AtomKnots::cumulative(const double* y, double* y2,
+                                            double* cum) const {
+  second_derivatives(y, y2);
+  cum[0] = 0.0;
+  for (std::size_t i = 0; i + 1 < radii.size(); ++i) {
+    cum[i + 1] = cum[i] + h[i] * (y[i] + y[i + 1]) / 2.0 -
+                 h3[i] * (y2[i] + y2[i + 1]) / 24.0;
   }
-  return radii;
 }
 
 void GridPlan::BudgetShare::release() noexcept {
@@ -82,7 +155,7 @@ GridPlan MultipoleSolver::make_plan() const {
   SWRAMAN_TRACE_SPAN(span, "hartree.plan");
   const std::size_t n_atoms = grid_.atoms.size();
   const std::size_t point_bytes =
-      n_atoms * (sizeof(GridPlan::Pair) + n_lm_ * sizeof(double));
+      n_atoms * (sizeof(GridPlan::Pair) + plan_stride_ * sizeof(double));
   GridPlan plan;
   plan.solver_ = this;
   if (point_bytes == 0) {
@@ -94,10 +167,8 @@ GridPlan MultipoleSolver::make_plan() const {
     plan.n_points_ = bytes / point_bytes;
   }
   plan.pairs_.resize(plan.n_points_ * n_atoms);
-  plan.ylm_.resize(plan.n_points_ * n_atoms * n_lm_);
+  plan.ylm_.resize(plan.n_points_ * n_atoms * plan_stride_);
 
-  std::vector<std::vector<double>> knots(n_atoms);
-  for (std::size_t a = 0; a < n_atoms; ++a) knots[a] = shell_radii(a);
   std::vector<double> y;
   grid::YlmWorkspace ws;
   for (std::size_t p = 0; p < plan.n_points_; ++p) {
@@ -106,10 +177,11 @@ GridPlan MultipoleSolver::make_plan() const {
       const Vec3 d = grid_.points[p] - grid_.atoms[a].pos;
       GridPlan::Pair& pair = plan.pairs_[k];
       pair.r = pair_radius(d);
-      if (!knots[a].empty()) pair.w = pair_bracket(knots[a], pair.r);
-      grid::real_ylm(d, lmax_, y, ws);
+      const std::vector<double>& knots = atoms_[a].radii;
+      if (!knots.empty()) pair.w = pair_bracket(knots, pair.r);
+      grid::real_ylm(d, l_plan_, y, ws);
       std::copy(y.begin(), y.end(),
-                plan.ylm_.begin() + static_cast<long>(k * n_lm_));
+                plan.ylm_.begin() + static_cast<long>(k * plan_stride_));
     }
   }
   if (span.active()) {
@@ -139,20 +211,24 @@ MultipolePotential MultipoleSolver::solve(const std::vector<double>& density,
   pot.splines_.resize(n_atoms);
   pot.moments_.assign(n_atoms, std::vector<double>(n_lm_, 0.0));
 
+  std::vector<double> scratch(scratch_size_);
   std::vector<double> y_point;
   grid::YlmWorkspace ylm_ws;
+  std::size_t channels = 0;
   for (std::size_t a = 0; a < n_atoms; ++a) {
     pot.centers_[a] = grid_.atoms[a].pos;
-    const std::vector<std::size_t>& shells = shells_of_atom_[a];
-    if (shells.empty()) continue;
-    const std::size_t ns = shells.size();
+    const AtomKnots& kn = atoms_[a];
+    const std::size_t ns = kn.shells.size();
+    if (ns == 0) continue;
+    const std::size_t n_live = grid::n_lm(kn.l_live);
+    channels += n_live;
 
     // Project the partitioned density onto Y_lm on each shell.
-    const std::vector<double> radii = shell_radii(a);
     // rho[lm * ns + s]
-    std::vector<double> rho(n_lm_ * ns, 0.0);
+    double* rho = scratch.data();
+    std::fill(rho, rho + n_live * ns, 0.0);
     for (std::size_t si = 0; si < ns; ++si) {
-      const grid::ShellInfo& sh = grid_.shells[shells[si]];
+      const grid::ShellInfo& sh = grid_.shells[kn.shells[si]];
       // A shell's angular rule resolves the Y_l * Y_l product only up to
       // l = order/2; projecting beyond that aliases order-one garbage into
       // the channel (pruned inner shells have low-order rules). Density is
@@ -170,9 +246,9 @@ MultipolePotential MultipoleSolver::solve(const std::vector<double>& density,
             static_cast<std::size_t>(grid_.owner_atom[p]);
         const double* y = nullptr;
         if (p < n_planned) {
-          y = &plan->ylm_[(p * n_atoms + owner) * n_lm_];
+          y = &plan->ylm_[(p * n_atoms + owner) * plan_stride_];
         } else {
-          grid::real_ylm(grid_.points[p] - grid_.atoms[owner].pos, lmax_,
+          grid::real_ylm(grid_.points[p] - grid_.atoms[owner].pos, kn.l_live,
                          y_point, ylm_ws);
           y = y_point.data();
         }
@@ -183,15 +259,25 @@ MultipolePotential MultipoleSolver::solve(const std::vector<double>& density,
     }
 
     MultipolePotential::AtomSplines& tab = pot.splines_[a];
-    tab.knots = radii;
-    tab.values.assign(ns * n_lm_, 0.0);
-    tab.second.assign(ns * n_lm_, 0.0);
+    tab.knots = kn.radii;
+    tab.l_live = kn.l_live;
+    tab.values.resize(ns * n_live);
+    tab.second.resize(ns * n_live);
 
-    // Radial Green's-function integrals per lm channel, exact spline
+    // Radial Green's-function integrals per live lm channel, exact spline
     // integration over the shell radii (+ analytic inner-sphere term).
-    std::vector<double> v_r(ns);
-    std::vector<double> rho_ch(ns);
-    for (int l = 0; l <= lmax_; ++l) {
+    double* rl = rho + n_live * ns;  // the channel's density
+    double* f = rl + ns;             // a Green's-function integrand
+    double* y2 = f + ns;             // its spline second derivatives
+    double* ilt = y2 + ns;
+    double* igt = ilt + ns;
+    double* v_r = igt + ns;
+    for (int l = 0; l <= kn.l_live; ++l) {
+      const std::size_t row = static_cast<std::size_t>(l) * ns;
+      const double* r_lt = &kn.pow_lt[row];
+      const double* r_gt = &kn.pow_gt[row];
+      const double* r_out = &kn.pow_out[row];
+      const double* r_in = &kn.pow_in[row];
       for (int m = -l; m <= l; ++m) {
         const std::size_t lm = grid::lm_index(l, m);
         // Physical channels vanish like s^l at the nucleus; angular
@@ -204,44 +290,38 @@ MultipolePotential MultipoleSolver::solve(const std::vector<double>& density,
         }
         for (std::size_t s = 0; s < ns; ++s) {
           const double v = rho[lm * ns + s];
-          rho_ch[s] = (std::abs(v) < 1e-10 * chmax) ? 0.0 : v;
+          rl[s] = (std::abs(v) < 1e-10 * chmax) ? 0.0 : v;
         }
-        const double* rl = rho_ch.data();
 
         // I<(r_k) = integral_0^{r_k} rho s^{l+2} ds: spline integration of
         // the tabulated integrand plus the analytic inner-sphere term
         // (rho ~ const below the first shell).
-        std::vector<double> f_lt(ns);
-        std::vector<double> f_gt(ns);
-        for (std::size_t s = 0; s < ns; ++s) {
-          f_lt[s] = rl[s] * std::pow(radii[s], l + 2);
-          f_gt[s] = rl[s] * std::pow(radii[s], 1 - l);
-        }
-        std::vector<double> ilt =
-            CubicSpline(radii, f_lt).cumulative_at_knots();
+        for (std::size_t s = 0; s < ns; ++s) f[s] = rl[s] * r_lt[s];
+        kn.cumulative(f, y2, ilt);
         const double inner =
-            rl[0] * std::pow(radii[0], l + 3) / static_cast<double>(l + 3);
-        for (double& v : ilt) v += inner;
+            rl[0] * kn.pow_inner[static_cast<std::size_t>(l)] /
+            static_cast<double>(l + 3);
+        for (std::size_t s = 0; s < ns; ++s) ilt[s] += inner;
         // I>(r_k) = integral_{r_k}^{rmax} rho s^{1-l} ds.
-        std::vector<double> igt =
-            CubicSpline(radii, f_gt).cumulative_at_knots();
-        const double igt_total = igt.back();
-        for (double& v : igt) v = igt_total - v;
+        for (std::size_t s = 0; s < ns; ++s) f[s] = rl[s] * r_gt[s];
+        kn.cumulative(f, y2, igt);
+        const double igt_total = igt[ns - 1];
+        for (std::size_t s = 0; s < ns; ++s) igt[s] = igt_total - igt[s];
 
         const double pref = kFourPi / (2.0 * l + 1.0);
         for (std::size_t s = 0; s < ns; ++s) {
-          v_r[s] = pref * (ilt[s] / std::pow(radii[s], l + 1) +
-                           igt[s] * std::pow(radii[s], l));
+          v_r[s] = pref * (ilt[s] / r_out[s] + igt[s] * r_in[s]);
         }
         pot.moments_[a][lm] = ilt[ns - 1];
-        const std::vector<double> v2 = natural_second_derivatives(radii, v_r);
+        kn.second_derivatives(v_r, y2);
         for (std::size_t s = 0; s < ns; ++s) {
-          tab.values[s * n_lm_ + lm] = v_r[s];
-          tab.second[s * n_lm_ + lm] = v2[s];
+          tab.values[s * n_live + lm] = v_r[s];
+          tab.second[s * n_live + lm] = y2[s];
         }
       }
     }
   }
+  if (span.active()) span.attr("channels", static_cast<double>(channels));
   return pot;
 }
 
@@ -258,17 +338,15 @@ std::vector<double> MultipoleSolver::solve_on_grid(
   std::vector<double> v(grid_.size());
   // Planned points: the pair geometry is read, not recomputed; the terms
   // and the order they are summed in are value()'s.
-  std::vector<double> terms(n_lm_);
+  std::vector<double> terms(plan_stride_);
   for (std::size_t p = 0; p < plan.n_points_; ++p) {
     double vp = 0.0;
     for (std::size_t a = 0; a < n_atoms; ++a) {
       const std::size_t k = p * n_atoms + a;
       const GridPlan::Pair& pair = plan.pairs_[k];
-      if (!pot.pair_terms(a, pair.w, pair.r, &plan.ylm_[k * n_lm_],
-                          terms.data())) {
-        continue;
-      }
-      for (std::size_t lm = 0; lm < n_lm_; ++lm) vp += terms[lm];
+      const std::size_t n = pot.pair_terms(
+          a, pair.w, pair.r, &plan.ylm_[k * plan_stride_], terms.data());
+      for (std::size_t lm = 0; lm < n; ++lm) vp += terms[lm];
     }
     v[p] = vp;
   }
@@ -311,19 +389,20 @@ void MultipolePotential::accumulate_atom(std::size_t atom, const Vec3& point,
   if (tab.knots.empty()) return;
   const Vec3 d = point - centers_[atom];
   const double r = pair_radius(d);
-  grid::real_ylm(d, lmax_, ws.ylm, ws.ylm_scratch);
+  grid::real_ylm(d, tab.l_live, ws.ylm, ws.ylm_scratch);
   ws.terms.resize(ws.ylm.size());
   pair_terms(atom, pair_bracket(tab.knots, r), r, ws.ylm.data(),
              ws.terms.data());
   for (const double t : ws.terms) v += t;
 }
 
-bool MultipolePotential::pair_terms(std::size_t atom, const SplineWeights& w,
-                                    double r, const double* y,
-                                    double* terms) const {
+std::size_t MultipolePotential::pair_terms(std::size_t atom,
+                                           const SplineWeights& w, double r,
+                                           const double* y,
+                                           double* terms) const {
   const AtomSplines& tab = splines_[atom];
-  if (tab.knots.empty()) return false;
-  const std::size_t n_lm = grid::n_lm(lmax_);
+  if (tab.knots.empty()) return 0;
+  const std::size_t n_lm = grid::n_lm(tab.l_live);
   if (r <= tab.knots.back()) {
     // One interval lookup ("i_r_log" of Algorithm 2) serves every channel.
     // Below the first shell the first interval extrapolates, exactly as
@@ -340,7 +419,7 @@ bool MultipolePotential::pair_terms(std::size_t atom, const SplineWeights& w,
     const double* q = moments_[atom].data();
     double rpow = r;  // r^{l+1}
     std::size_t lm = 0;
-    for (int l = 0; l <= lmax_; ++l) {
+    for (int l = 0; l <= tab.l_live; ++l) {
       const double pref = kFourPi / (2.0 * l + 1.0) / rpow;
       for (int m = -l; m <= l; ++m, ++lm) {
         terms[lm] = pref * q[lm] * y[lm];
@@ -348,7 +427,7 @@ bool MultipolePotential::pair_terms(std::size_t atom, const SplineWeights& w,
       rpow *= r;
     }
   }
-  return true;
+  return n_lm;
 }
 
 double MultipolePotential::total_charge() const {

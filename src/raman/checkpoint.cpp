@@ -13,6 +13,7 @@
 #include "common/logging.hpp"
 #include "obs/obs.hpp"
 #include "parallel/comm.hpp"
+#include "raman/bec.hpp"
 #include "robustness/fault.hpp"
 
 namespace swraman::raman {
@@ -135,9 +136,23 @@ Checkpoint::Checkpoint(std::string path,
       write_header(n_coords, displacement, fp);
       for (const auto& [key, r] : records_) append_record(key, r);
     }
-    log::info("checkpoint: resuming from ", path_, " with ",
-              records_.size(), " of ", 2 * n_coords,
-              " geometries finished");
+    // Field records (sign 0) count against the field stencil, displaced
+    // geometries against the 2 n_coords of the central differences.
+    std::size_t n_fields = 0;
+    for (const auto& entry : records_) {
+      if (entry.first.second == 0) ++n_fields;
+    }
+    const std::size_t n_geoms = records_.size() - n_fields;
+    std::ostringstream progress;
+    if (n_geoms > 0 || n_fields == 0) {
+      progress << n_geoms << " of " << 2 * n_coords << " geometries";
+    }
+    if (n_fields > 0) {
+      if (n_geoms > 0) progress << " and ";
+      progress << n_fields << " of " << n_field_points() << " field points";
+    }
+    log::info("checkpoint: resuming from ", path_, " with ", progress.str(),
+              " finished");
     return;
   }
 

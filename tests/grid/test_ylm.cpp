@@ -1,6 +1,7 @@
 #include "grid/ylm.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -44,7 +45,9 @@ TEST(Ylm, NorthPoleIsFinite) {
   // Only m = 0 components survive at the pole.
   for (int l = 1; l <= 8; ++l) {
     for (int m = -l; m <= l; ++m) {
-      if (m != 0) EXPECT_NEAR(y[lm_index(l, m)], 0.0, 1e-12);
+      if (m != 0) {
+        EXPECT_NEAR(y[lm_index(l, m)], 0.0, 1e-12);
+      }
     }
   }
 }
@@ -199,6 +202,25 @@ TEST(Ylm, TableRecurrenceMatchesReferenceBitwise) {
       for (std::size_t i = 0; i < ref.size(); ++i) {
         EXPECT_EQ(got[i], ref[i]) << "lmax " << lmax << " lm " << i;
       }
+    }
+  }
+}
+
+// The multipole solver evaluates each atom's harmonics only up to the l its
+// grid resolves and relies on them being the leading entries of the full
+// set, bit for bit: every recurrence runs upward in l and reads lower l only.
+TEST(Ylm, LowerOrderIsBitwisePrefixOfHigher) {
+  YlmWorkspace ws;
+  std::vector<double> full;
+  std::vector<double> y;
+  for (const Vec3& u : probe_directions()) {
+    real_ylm(u, 16, full, ws);
+    for (int lmax = 0; lmax < 16; ++lmax) {
+      real_ylm(u, lmax, y, ws);
+      ASSERT_EQ(y.size(), n_lm(lmax));
+      EXPECT_EQ(std::memcmp(y.data(), full.data(), y.size() * sizeof(double)),
+                0)
+          << "lmax " << lmax << " u " << u;
     }
   }
 }

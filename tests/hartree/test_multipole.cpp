@@ -4,12 +4,16 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include <gtest/gtest.h>
 
 #include "common/constants.hpp"
+#include "common/error.hpp"
+#include "common/spline.hpp"
 #include "core/molecules.hpp"
+#include "obs/trace.hpp"
 
 namespace swraman::hartree {
 namespace {
@@ -350,6 +354,291 @@ TEST(Multipole, SplineMeetsFarFieldAtOuterRadius) {
   const double beyond = pot.value(dir * (outer * (1.0 + 1e-12)));
   EXPECT_NEAR(inside, beyond, 1e-5 / outer);
   EXPECT_NEAR(inside, 1.0 / outer, 1e-4 / outer);
+}
+
+// The per-channel radial solve the knot tables replaced, kept as an
+// oracle: every one of the n_lm(lmax) channels, each integrated through its
+// own CubicSpline and natural_second_derivatives call, and the potential
+// summed over all of them (value()'s term order).
+struct ReferencePotential {
+  int lmax = 0;
+  std::vector<Vec3> centers;
+  std::vector<std::vector<double>> knots;    // [atom][knot]
+  std::vector<std::vector<double>> values;   // [atom][knot * n_lm + lm]
+  std::vector<std::vector<double>> second;   // [atom][knot * n_lm + lm]
+  std::vector<std::vector<double>> moments;  // [atom][lm]
+
+  double value(const Vec3& point) const {
+    const std::size_t n_lm = grid::n_lm(lmax);
+    double v = 0.0;
+    for (std::size_t a = 0; a < centers.size(); ++a) {
+      const std::vector<double>& x = knots[a];
+      if (x.empty()) continue;
+      const Vec3 d = point - centers[a];
+      const double r = std::max(d.norm(), 1e-8);
+      const std::vector<double> y = grid::real_ylm(d, lmax);
+      if (r <= x.back()) {
+        const SplineWeights w(x, r);
+        const double* v0 = &values[a][w.i * n_lm];
+        const double* m0 = &second[a][w.i * n_lm];
+        for (std::size_t lm = 0; lm < n_lm; ++lm) {
+          v += w.value(v0[lm], v0[lm + n_lm], m0[lm], m0[lm + n_lm]) * y[lm];
+        }
+      } else {
+        double rpow = r;
+        std::size_t lm = 0;
+        for (int l = 0; l <= lmax; ++l) {
+          const double pref = kFourPi / (2.0 * l + 1.0) / rpow;
+          for (int m = -l; m <= l; ++m, ++lm) {
+            v += pref * moments[a][lm] * y[lm];
+          }
+          rpow *= r;
+        }
+      }
+    }
+    return v;
+  }
+};
+
+ReferencePotential reference_solve(const grid::MolecularGrid& g, int lmax,
+                                   const std::vector<double>& density) {
+  const std::size_t n_lm = grid::n_lm(lmax);
+  const std::size_t n_atoms = g.atoms.size();
+  ReferencePotential ref;
+  ref.lmax = lmax;
+  ref.knots.resize(n_atoms);
+  ref.values.resize(n_atoms);
+  ref.second.resize(n_atoms);
+  ref.moments.assign(n_atoms, std::vector<double>(n_lm, 0.0));
+  std::vector<std::vector<std::size_t>> shells(n_atoms);
+  for (std::size_t s = 0; s < g.shells.size(); ++s) {
+    shells[static_cast<std::size_t>(g.shells[s].atom)].push_back(s);
+  }
+  for (std::size_t a = 0; a < n_atoms; ++a) {
+    ref.centers.push_back(g.atoms[a].pos);
+    std::sort(shells[a].begin(), shells[a].end(),
+              [&g](std::size_t i, std::size_t j) {
+                return g.shells[i].radius < g.shells[j].radius;
+              });
+    const std::size_t ns = shells[a].size();
+    if (ns == 0) continue;
+    std::vector<double> radii;
+    for (std::size_t s : shells[a]) radii.push_back(g.shells[s].radius);
+    std::vector<double> rho(n_lm * ns, 0.0);
+    for (std::size_t si = 0; si < ns; ++si) {
+      const grid::ShellInfo& sh = g.shells[shells[a][si]];
+      const std::size_t lm_cap =
+          std::min(n_lm, grid::n_lm(sh.angular_order / 2));
+      for (std::size_t k = 0; k < sh.n_points; ++k) {
+        const std::size_t p = sh.first_point + k;
+        const double f = g.angular_weight[p] * g.partition[p] * density[p];
+        if (f == 0.0) continue;
+        const std::size_t owner = static_cast<std::size_t>(g.owner_atom[p]);
+        const std::vector<double> y =
+            grid::real_ylm(g.points[p] - g.atoms[owner].pos, lmax);
+        for (std::size_t lm = 0; lm < lm_cap; ++lm) {
+          rho[lm * ns + si] += f * y[lm];
+        }
+      }
+    }
+    ref.knots[a] = radii;
+    ref.values[a].assign(ns * n_lm, 0.0);
+    ref.second[a].assign(ns * n_lm, 0.0);
+    std::vector<double> v_r(ns);
+    std::vector<double> rl(ns);
+    for (int l = 0; l <= lmax; ++l) {
+      for (int m = -l; m <= l; ++m) {
+        const std::size_t lm = grid::lm_index(l, m);
+        double chmax = 0.0;
+        for (std::size_t s = 0; s < ns; ++s) {
+          chmax = std::max(chmax, std::abs(rho[lm * ns + s]));
+        }
+        for (std::size_t s = 0; s < ns; ++s) {
+          const double v = rho[lm * ns + s];
+          rl[s] = (std::abs(v) < 1e-10 * chmax) ? 0.0 : v;
+        }
+        std::vector<double> f_lt(ns);
+        std::vector<double> f_gt(ns);
+        for (std::size_t s = 0; s < ns; ++s) {
+          f_lt[s] = rl[s] * std::pow(radii[s], l + 2);
+          f_gt[s] = rl[s] * std::pow(radii[s], 1 - l);
+        }
+        std::vector<double> ilt =
+            CubicSpline(radii, f_lt).cumulative_at_knots();
+        const double inner =
+            rl[0] * std::pow(radii[0], l + 3) / static_cast<double>(l + 3);
+        for (double& v : ilt) v += inner;
+        std::vector<double> igt =
+            CubicSpline(radii, f_gt).cumulative_at_knots();
+        const double igt_total = igt.back();
+        for (double& v : igt) v = igt_total - v;
+        const double pref = kFourPi / (2.0 * l + 1.0);
+        for (std::size_t s = 0; s < ns; ++s) {
+          v_r[s] = pref * (ilt[s] / std::pow(radii[s], l + 1) +
+                           igt[s] * std::pow(radii[s], l));
+        }
+        ref.moments[a][lm] = ilt[ns - 1];
+        const std::vector<double> v2 = natural_second_derivatives(radii, v_r);
+        for (std::size_t s = 0; s < ns; ++s) {
+          ref.values[a][s * n_lm + lm] = v_r[s];
+          ref.second[a][s * n_lm + lm] = v2[s];
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+// Each atom's Gaussian plus one off-center Gaussian, so that every l
+// channel a shell resolves carries density.
+std::vector<double> lumpy_density(const grid::MolecularGrid& g) {
+  std::vector<double> n(g.size(), 0.0);
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    for (const grid::AtomSite& a : g.atoms) {
+      n[p] += static_cast<double>(a.z) *
+              gaussian_density(g.points[p], a.pos, a.z > 1 ? 1.8 : 0.9);
+    }
+    n[p] += 0.5 * gaussian_density(g.points[p],
+                                   g.atoms[0].pos + Vec3{0.3, -0.2, 0.4}, 2.0);
+  }
+  return n;
+}
+
+TEST(Multipole, SolveMatchesReferenceChannelSolveBitwise) {
+  const std::vector<std::vector<grid::AtomSite>> systems = {
+      {{1, {0.0, 0.0, 0.0}}, {1, {0.0, 0.0, 1.4}}},
+      molecules::water(),
+      {{16, {0.1, -0.2, 0.3}}}};
+  std::vector<grid::GridSettings> settings(3);
+  settings[0].n_radial = 16;
+  settings[0].angular_order = 7;
+  settings[1].level = grid::GridLevel::Light;
+  settings[2].level = grid::GridLevel::Tight;
+  for (const std::vector<grid::AtomSite>& atoms : systems) {
+    for (grid::GridSettings s : settings) {
+      for (bool prune : {true, false}) {
+        s.prune = prune;
+        const grid::MolecularGrid g = grid::build_molecular_grid(atoms, s);
+        const std::vector<double> n = lumpy_density(g);
+        for (int lmax : {2, 6, 8}) {
+          SCOPED_TRACE(testing::Message()
+                       << atoms.size() << " atoms, " << g.size()
+                       << " points, prune " << prune << ", lmax " << lmax);
+          const ReferencePotential ref = reference_solve(g, lmax, n);
+          const MultipoleSolver solver(g, lmax);
+          const MultipolePotential pot = solver.solve(n);
+          for (std::size_t a = 0; a < atoms.size(); ++a) {
+            std::vector<double> q(grid::n_lm(lmax));
+            for (std::size_t lm = 0; lm < q.size(); ++lm) {
+              q[lm] = pot.moment(a, lm);
+            }
+            EXPECT_TRUE(same_bits(q, ref.moments[a])) << "atom " << a;
+          }
+          std::vector<double> expected(g.size());
+          for (std::size_t p = 0; p < g.size(); ++p) {
+            expected[p] = ref.value(g.points[p]);
+          }
+          EXPECT_TRUE(same_bits(solver.solve_on_grid(n), expected));
+          EXPECT_TRUE(
+              same_bits(solver.solve_on_grid(n, solver.make_plan()), expected));
+          // Off the grid, on both sides of every outer radius.
+          for (std::size_t a = 0; a < atoms.size(); ++a) {
+            for (double f : {0.5, 1.01, 4.0}) {
+              const Vec3 x = atoms[a].pos +
+                             Vec3{0.48, -0.6, 0.64} * (f * pot.outer_radius(a));
+              EXPECT_EQ(pot.value(x), ref.value(x)) << x;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The shell radii are the spline knots: they must strictly increase.
+TEST(Multipole, RejectsRepeatedShellRadius) {
+  grid::GridSettings s;
+  s.n_radial = 16;
+  s.angular_order = 7;
+  grid::MolecularGrid g =
+      grid::build_molecular_grid({{1, {0.0, 0.0, 0.0}}}, s);
+  ASSERT_GE(g.shells.size(), 2u);
+  EXPECT_NO_THROW(MultipoleSolver(g, 6));
+  g.shells[1].radius = g.shells[0].radius;
+  EXPECT_THROW(MultipoleSolver(g, 6), Error);
+}
+
+// Channels above every shell's resolvable l get no density: their moments
+// are exact +0.0 and the solver reports only the live ones, 16 of 49 per
+// atom on the golden 16/7 grid.
+TEST(Multipole, ChannelsAboveTheShellCapAreExactZero) {
+  grid::GridSettings s;
+  s.n_radial = 16;
+  s.angular_order = 7;
+  const grid::MolecularGrid g =
+      grid::build_molecular_grid(molecules::water(), s);
+  const std::vector<double> n = lumpy_density(g);
+  const MultipoleSolver solver(g, 6);
+  obs::set_enabled(true);
+  obs::reset_for_testing();
+  const MultipolePotential pot = solver.solve(n);
+  const std::vector<obs::SpanRecord> spans = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset_for_testing();
+
+  const std::size_t n_live = grid::n_lm(7 / 2);
+  ASSERT_EQ(n_live, 16u);
+  // The premise of skipping them: solved in full, as the reference does,
+  // the dead channels' spline rows and moments come out exact +0.0.
+  const ReferencePotential ref = reference_solve(g, 6, n);
+  const std::size_t n_lm = grid::n_lm(6);
+  for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+    for (std::size_t i = 0; i < ref.values[a].size(); ++i) {
+      if (i % n_lm < n_live) continue;
+      for (const double x : {ref.values[a][i], ref.second[a][i],
+                             ref.moments[a][i % n_lm]}) {
+        EXPECT_EQ(x, 0.0) << "atom " << a << " entry " << i;
+        EXPECT_FALSE(std::signbit(x)) << "atom " << a << " entry " << i;
+      }
+    }
+  }
+  for (std::size_t a = 0; a < pot.n_atoms(); ++a) {
+    for (std::size_t lm = 0; lm < grid::n_lm(6); ++lm) {
+      const double q = pot.moment(a, lm);
+      if (lm < n_live) {
+        EXPECT_NE(q, 0.0) << "atom " << a << " lm " << lm;
+      } else {
+        EXPECT_EQ(q, 0.0) << "atom " << a << " lm " << lm;
+        EXPECT_FALSE(std::signbit(q)) << "atom " << a << " lm " << lm;
+      }
+    }
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "hartree.multipole");
+  double channels = -1.0;
+  for (const obs::Attr& attr : spans[0].attrs) {
+    if (attr.key == "channels") channels = attr.num;
+  }
+  EXPECT_EQ(channels, static_cast<double>(n_live * pot.n_atoms()));
+}
+
+// On a coarse grid the plan's Y_lm rows are shorter than n_lm(lmax) (16 of
+// 81 here); pairs beyond an atom's outer radius take the far-field branch
+// through them. Under the sanitizers this catches a read past a row.
+TEST(Multipole, PlannedFarFieldOnCoarseGridMatchesValueBitwise) {
+  grid::GridSettings s;
+  s.n_radial = 16;
+  s.angular_order = 7;
+  const std::vector<grid::AtomSite> atoms = {{1, {0.0, 0.0, 0.0}},
+                                             {8, {0.0, 0.0, 30.0}}};
+  const grid::MolecularGrid g = grid::build_molecular_grid(atoms, s);
+  EXPECT_EQ(MultipoleSolver(g, 8).make_plan().n_points(), g.size());
+  EXPECT_GT(expect_planned_matches_value(g, 8), 0u);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/logging.hpp"
+#include "raman/bec.hpp"
 #include "robustness/fault.hpp"
 
 namespace swraman::raman {
@@ -150,6 +152,37 @@ TEST(Checkpoint, ToleratesTruncatedTrailingRecord) {
 }
 
 // The checkpointed loop both Raman calculators run their tasks through.
+// The resume line counts field records (sign 0) against the field stencil
+// and displaced geometries against 2 n_coords.
+TEST(Checkpoint, ResumeLogCountsEachRecordKindAgainstItsOwnTotal) {
+  const auto atoms = water();
+  const std::string fields = temp_path("ckpt_log_fields.txt");
+  const std::string geoms = temp_path("ckpt_log_geoms.txt");
+  std::remove(fields.c_str());
+  std::remove(geoms.c_str());
+  {
+    Checkpoint ckpt(fields, atoms, 0.01);
+    for (std::size_t k = 0; k < 5; ++k) ckpt.record(k, 0, sample_record(1.0));
+  }
+  {
+    Checkpoint ckpt(geoms, atoms, 0.01);
+    for (std::size_t c = 0; c < 3; ++c) ckpt.record(c, +1, sample_record(1.0));
+  }
+  const log::Level saved = log::level();
+  log::set_level(log::Level::Info);
+  ::testing::internal::CaptureStdout();
+  const Checkpoint resumed_fields(fields, atoms, 0.01);
+  const Checkpoint resumed_geoms(geoms, atoms, 0.01);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  log::set_level(saved);
+  EXPECT_NE(out.find("with 5 of " + std::to_string(n_field_points()) +
+                     " field points finished"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("with 3 of 18 geometries finished"), std::string::npos)
+      << out;
+}
+
 TEST(ReplayOrEvaluate, RetriesTransientErrorThenRecordsAndReplays) {
   fault::ScopedFaults guard;
   const std::string path = temp_path("ckpt_replay_retry.txt");
